@@ -22,30 +22,25 @@
 //! * **closed-loop recovery** — the trip must promote v2 through the hot-swap
 //!   coordinator with zero dropped requests (`swap_promoted`,
 //!   `swap_status == 200`), reset the detector (`detector_reset_after_swap`),
-//!   and post-swap verdicts must match a local [`Remix::predict`] over v2
-//!   (`post_swap_identical`).
+//!   and post-swap verdicts must match a local
+//!   [`remix_core::Remix::predict`] over v2 (`post_swap_identical`).
 //!
 //! Writes `results/bench_drift.json`; `bench_check` gates every flag, the
 //! zero-counters, and the detection budget against the committed baseline.
 
-use rand::{rngs::StdRng, Rng, SeedableRng};
-use remix_core::Remix;
-use remix_data::SyntheticSpec;
+use remix_bench::check::{get, get_bool, get_str, get_u64};
+use remix_bench::harness::{capture, load_into, remix, trained, MODEL};
 use remix_ensemble::TrainedEnsemble;
 use remix_faults::pattern;
-use remix_nn::layers::{Dense, Flatten, Relu};
-use remix_nn::{InputSpec, Model, Sequential, Trainer, TrainerConfig};
-use remix_registry::{EnsembleArtifact, Registry};
+use remix_nn::InputSpec;
+use remix_registry::Registry;
 use remix_serve::{
     verdict_fragment, Client, DriftAction, DriftConfig, NamedModel, ServeConfig, Server,
 };
 use remix_tensor::Tensor;
-use remix_xai::{ExplainerConfig, XaiBudget};
 use serde::Value;
 use std::io::Write;
 use std::time::{Duration, Instant};
-
-const MODEL: &str = "tabular-mlp";
 
 /// Verdict budget the detector must trip within after injection; mirrored by
 /// the `check_drift` gate.
@@ -75,115 +70,6 @@ impl LoadScale {
             },
         }
     }
-}
-
-fn corrupt_labels(labels: &[usize], num_classes: usize, fraction: f32, seed: u64) -> Vec<usize> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    labels
-        .iter()
-        .map(|&label| {
-            if rng.gen::<f32>() < fraction {
-                rng.gen_range(0..num_classes)
-            } else {
-                label
-            }
-        })
-        .collect()
-}
-
-/// Trains the three-MLP ensemble with per-member label noise `fraction` —
-/// the same structure either way, so v1 (30 % mislabelled) and v2
-/// (re-cleaned) publish as two versions of one model. Fully seeded.
-fn trained(noise: f32) -> (TrainedEnsemble, remix_data::Dataset, remix_data::Dataset) {
-    let (train, test) = SyntheticSpec::tabular_like()
-        .train_size(400)
-        .test_size(128)
-        .generate();
-    let spec = InputSpec {
-        channels: 1,
-        size: 4,
-        num_classes: train.num_classes,
-    };
-    let hidden: [&[usize]; 3] = [&[128], &[96, 64], &[96]];
-    let models = hidden
-        .iter()
-        .enumerate()
-        .map(|(i, hidden)| {
-            let mut init = StdRng::seed_from_u64(i as u64 + 1);
-            let mut net = Sequential::new();
-            net.push(Flatten::new());
-            let mut dim = spec.channels * spec.size * spec.size;
-            for &h in *hidden {
-                net.push(Dense::new(dim, h, &mut init));
-                net.push(Relu::new());
-                dim = h;
-            }
-            net.push(Dense::new(dim, train.num_classes, &mut init));
-            let mut model = Model::named(net, spec, format!("MLP-{i}"));
-            let labels = corrupt_labels(&train.labels, train.num_classes, noise, 70 + i as u64);
-            Trainer::new(TrainerConfig {
-                epochs: 8,
-                lr: 0.03,
-                seed: i as u64,
-                ..TrainerConfig::default()
-            })
-            .fit(&mut model, &train.images, &labels);
-            model
-        })
-        .collect();
-    (TrainedEnsemble::new(models), train, test)
-}
-
-/// The ReMIX configuration served and replicated locally — identical on
-/// both sides so byte-identity comparisons are fair.
-fn remix() -> Remix {
-    let config = ExplainerConfig {
-        budget: XaiBudget {
-            sg_samples: 8,
-            batch_size: 64,
-            ..XaiBudget::default()
-        },
-        ..ExplainerConfig::default()
-    };
-    Remix::builder()
-        .seed(11)
-        .threads(1)
-        .explainer_config(config)
-        .build()
-}
-
-/// Captures an ensemble as a registry artifact for `MODEL`.
-fn capture(version: &str, spec: InputSpec, ensemble: &mut TrainedEnsemble) -> EnsembleArtifact {
-    let archs: Vec<String> = (0..ensemble.models.len())
-        .map(|i| format!("MLP-{i}"))
-        .collect();
-    let weights = vec![1.0f32; ensemble.models.len()];
-    EnsembleArtifact::capture(
-        MODEL,
-        version,
-        spec,
-        ensemble,
-        archs,
-        weights,
-        XaiBudget::default(),
-    )
-}
-
-/// Loads `MODEL@version` applied onto a clone of `template` — the exact path
-/// the server's swap coordinator takes, so local references are bit-identical
-/// to what the server serves under that version.
-fn load_into(
-    registry: &Registry,
-    version: &str,
-    template: &TrainedEnsemble,
-) -> (TrainedEnsemble, u64) {
-    let loaded = registry.load(MODEL, Some(version)).expect(version);
-    let mut ensemble = template.clone();
-    loaded
-        .artifact
-        .apply_to(&mut ensemble)
-        .expect("same structure");
-    (ensemble, loaded.hash)
 }
 
 /// Builds the shifted stream: inputs blended 50/50 across the most-confusable
@@ -238,40 +124,9 @@ fn shifted_pool(
     (pool, class_a, class_b)
 }
 
-/// Field lookup helpers over the shim's ordered-pairs JSON objects.
-fn field<'a>(value: &'a Value, name: &str) -> Option<&'a Value> {
-    value
-        .as_object()?
-        .iter()
-        .find(|(k, _)| k == name)
-        .map(|(_, v)| v)
-}
-
-fn field_u64(value: &Value, name: &str) -> Option<u64> {
-    match field(value, name)? {
-        Value::UInt(u) => Some(*u),
-        Value::Int(i) if *i >= 0 => Some(*i as u64),
-        _ => None,
-    }
-}
-
-fn field_bool(value: &Value, name: &str) -> Option<bool> {
-    match field(value, name)? {
-        Value::Bool(b) => Some(*b),
-        _ => None,
-    }
-}
-
-fn field_str<'a>(value: &'a Value, name: &str) -> Option<&'a str> {
-    match field(value, name)? {
-        Value::Str(s) => Some(s),
-        _ => None,
-    }
-}
-
 /// The single drift-enabled group from a parsed `GET /drift` body.
 fn drift_group(drift: &Value) -> Value {
-    field(drift, "models")
+    get(drift, "models")
         .and_then(Value::as_array)
         .and_then(|models| models.first())
         .cloned()
@@ -396,8 +251,8 @@ fn main() {
     }
     let clean_drift = control.drift().expect("GET /drift");
     let clean_group = drift_group(&clean_drift);
-    let clean_false_trips = field_u64(&clean_group, "alerts").unwrap_or(u64::MAX);
-    let clean_verdicts = field_u64(&clean_group, "verdicts").unwrap_or(0);
+    let clean_false_trips = get_u64(&clean_group, "alerts").unwrap_or(u64::MAX);
+    let clean_verdicts = get_u64(&clean_group, "verdicts").unwrap_or(0);
     println!(
         "clean: {} verdicts in {:?}, false trips {clean_false_trips}, \
          detector-on == detector-off: {detector_verdicts_identical}",
@@ -427,7 +282,7 @@ fn main() {
             // reset would teach the fresh detector the shifted distribution
             // as its reference.
             let drift = control.drift().expect("GET /drift");
-            if field_u64(&drift_group(&drift), "alerts").unwrap_or(0) >= 1 {
+            if get_u64(&drift_group(&drift), "alerts").unwrap_or(0) >= 1 {
                 tripped = true;
                 break;
             }
@@ -437,11 +292,11 @@ fn main() {
     // before the next poll); the retained last-trip metadata is the record.
     let shifted_drift = control.drift().expect("GET /drift");
     let shifted_group = drift_group(&shifted_drift);
-    let last_trip = field(&shifted_group, "last_trip")
+    let last_trip = get(&shifted_group, "last_trip")
         .cloned()
         .unwrap_or(Value::Null);
     tripped |= !matches!(last_trip, Value::Null);
-    let verdicts_at_trip = field_u64(&last_trip, "verdicts_at_trip").unwrap_or(0);
+    let verdicts_at_trip = get_u64(&last_trip, "verdicts_at_trip").unwrap_or(0);
     let detection_verdicts = if tripped {
         verdicts_at_trip.saturating_sub(injected_at).max(1)
     } else {
@@ -449,9 +304,7 @@ fn main() {
     };
     let detected_within_budget = tripped && detection_verdicts <= DETECTION_BUDGET;
     let detection_headroom = DETECTION_BUDGET as f64 / detection_verdicts as f64;
-    let tripped_feature = field_str(&last_trip, "feature")
-        .unwrap_or("none")
-        .to_string();
+    let tripped_feature = get_str(&last_trip, "feature").unwrap_or("none").to_string();
     println!(
         "shift: tripped {tripped} on `{tripped_feature}` after {detection_verdicts} verdicts \
          (budget {DETECTION_BUDGET}, headroom {detection_headroom:.1}x)"
@@ -463,18 +316,18 @@ fn main() {
     while Instant::now() < deadline {
         let drift = control.drift().expect("GET /drift");
         let group = drift_group(&drift);
-        if field_u64(&group, "drift_swaps") == Some(1) {
-            swap_status = field_u64(&group, "swap_status").unwrap_or(0);
+        if get_u64(&group, "drift_swaps") == Some(1) {
+            swap_status = get_u64(&group, "swap_status").unwrap_or(0);
             swap_promoted = swap_status == 200;
             break;
         }
         std::thread::sleep(Duration::from_millis(50));
     }
     let models = control.models().expect("GET /models");
-    let post_swap_version = field(&models, "models")
+    let post_swap_version = get(&models, "models")
         .and_then(Value::as_array)
         .and_then(|models| models.first())
-        .and_then(|m| field_str(m, "version").map(str::to_string))
+        .and_then(|m| get_str(m, "version").map(str::to_string))
         .unwrap_or_default();
     println!(
         "swap: promoted {swap_promoted} (status {swap_status}), serving {MODEL}@{post_swap_version}"
@@ -499,13 +352,13 @@ fn main() {
         println!("debug recovery /drift: {recovery_drift:?}");
     }
     let recovery_group = drift_group(&recovery_drift);
-    let total_alerts = field_u64(&recovery_group, "alerts").unwrap_or(u64::MAX);
+    let total_alerts = get_u64(&recovery_group, "alerts").unwrap_or(u64::MAX);
     let post_swap_false_trips = total_alerts.saturating_sub(1);
     // The engine adopts the pending swap (and resets its detector) between
     // batches, which needs traffic — so the reset is observable only after
     // the recovery stream has flowed, not at swap-completion time.
-    let detector_reset_after_swap = field_u64(&recovery_group, "resets").unwrap_or(0) >= 1
-        && field_bool(&recovery_group, "tripped") == Some(false);
+    let detector_reset_after_swap = get_u64(&recovery_group, "resets").unwrap_or(0) >= 1
+        && get_bool(&recovery_group, "tripped") == Some(false);
     println!(
         "recovery: {} verdicts, post-swap identical: {post_swap_identical}, \
          new alerts: {post_swap_false_trips}, detector reset: {detector_reset_after_swap}",

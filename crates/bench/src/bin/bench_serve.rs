@@ -8,8 +8,8 @@
 //!   against the dynamic micro-batcher; the within-run ratio
 //!   `speedup_batched_vs_serial` is the gated metric.
 //! * **bit-identity under load** — every non-degraded verdict fragment is
-//!   compared byte-for-byte against [`Remix::predict`] on a local replica of
-//!   the ensemble (`verdicts_identical`).
+//!   compared byte-for-byte against [`remix_core::Remix::predict`] on a
+//!   local replica of the ensemble (`verdicts_identical`).
 //! * **verdict cache** — a hit-heavy phase checks that cached replies replay
 //!   the reference bytes (`cache_identical`) and reports the hit rate.
 //! * **deadline degradation** — a `deadline_ms = 0` phase checks that every
@@ -28,15 +28,14 @@
 //! overhead. Writes `results/bench_serve.json`; `bench_check` gates the
 //! speedup ratio and the three identity flags against the committed baseline.
 
-use rand::{rngs::StdRng, Rng, SeedableRng};
-use remix_core::Remix;
+use rand::{rngs::StdRng, SeedableRng};
+use remix_bench::harness::{corrupt_labels, remix};
 use remix_data::SyntheticSpec;
 use remix_ensemble::{majority_with_weights, TrainedEnsemble};
 use remix_nn::layers::{Dense, Flatten, Relu};
 use remix_nn::{InputSpec, Model, Sequential, Trainer, TrainerConfig};
 use remix_serve::{degraded_fragment, verdict_fragment, Client, ClientReply, ServeConfig, Server};
 use remix_tensor::Tensor;
-use remix_xai::{ExplainerConfig, XaiBudget};
 use std::io::Write;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -63,20 +62,6 @@ impl LoadScale {
             },
         }
     }
-}
-
-fn corrupt_labels(labels: &[usize], num_classes: usize, fraction: f32, seed: u64) -> Vec<usize> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    labels
-        .iter()
-        .map(|&label| {
-            if rng.gen::<f32>() < fraction {
-                rng.gen_range(0..num_classes)
-            } else {
-                label
-            }
-        })
-        .collect()
 }
 
 /// Trains the served ensemble: three tabular MLPs on 0 %/30 %/50 %
@@ -124,27 +109,6 @@ fn trained_ensemble() -> (TrainedEnsemble, Vec<Tensor>) {
         })
         .collect();
     (TrainedEnsemble::new(models), test.images)
-}
-
-/// The ReMIX configuration served and replicated locally. Must be built
-/// identically in both places for the byte-identity comparison to be fair.
-/// Eight SmoothGrad samples against a 64-wide budget: a lone request can
-/// only fill an eighth of a gradient sweep, so coalesced requests run
-/// markedly wider sweeps than the serial baseline can.
-fn remix() -> Remix {
-    let config = ExplainerConfig {
-        budget: XaiBudget {
-            sg_samples: 8,
-            batch_size: 64,
-            ..XaiBudget::default()
-        },
-        ..ExplainerConfig::default()
-    };
-    Remix::builder()
-        .seed(11)
-        .threads(1)
-        .explainer_config(config)
-        .build()
 }
 
 /// Fires `concurrency` keep-alive clients, each sending

@@ -10,9 +10,9 @@
 //!   complete with 200 and serve bytes that are *exactly* v1's or v2's
 //!   reference verdict (`dropped_requests == 0`, `errored_requests == 0`);
 //! * **byte identity** — steady-state verdicts match a local
-//!   [`Remix::predict`] over the same registry round-trip, before the first
-//!   swap (`v1_identical`), after swapping to v2 (`v2_identical`), and
-//!   across a no-op swap (`noop_identical`);
+//!   [`remix_core::Remix::predict`] over the same registry round-trip,
+//!   before the first swap (`v1_identical`), after swapping to v2
+//!   (`v2_identical`), and across a no-op swap (`noop_identical`);
 //! * **cache generations** — a verdict cached under v1 must be unreachable
 //!   under v2 and reachable again (original bytes, no recompute) after
 //!   swapping back (`cache_generation_isolated`);
@@ -27,22 +27,14 @@
 //! zero-drop counters, the flip-stall p99, and the churn ratio against the
 //! committed baseline.
 
-use rand::{rngs::StdRng, Rng, SeedableRng};
-use remix_core::Remix;
-use remix_data::SyntheticSpec;
-use remix_ensemble::TrainedEnsemble;
-use remix_nn::layers::{Dense, Flatten, Relu};
-use remix_nn::{InputSpec, Model, Sequential, Trainer, TrainerConfig};
-use remix_registry::{EnsembleArtifact, Registry};
+use remix_bench::harness::{capture, load_into, remix, trained, MODEL};
+use remix_nn::InputSpec;
+use remix_registry::Registry;
 use remix_serve::{verdict_fragment, Client, ClientReply, NamedModel, ServeConfig, Server};
-use remix_tensor::Tensor;
-use remix_xai::{ExplainerConfig, XaiBudget};
 use serde::Value;
 use std::io::Write;
 use std::thread;
 use std::time::{Duration, Instant};
-
-const MODEL: &str = "tabular-mlp";
 
 /// Load profile; `REMIX_SCALE=paper` doubles the stream.
 struct LoadScale {
@@ -69,115 +61,6 @@ impl LoadScale {
             },
         }
     }
-}
-
-fn corrupt_labels(labels: &[usize], num_classes: usize, fraction: f32, seed: u64) -> Vec<usize> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    labels
-        .iter()
-        .map(|&label| {
-            if rng.gen::<f32>() < fraction {
-                rng.gen_range(0..num_classes)
-            } else {
-                label
-            }
-        })
-        .collect()
-}
-
-/// Trains the three-MLP ensemble with per-member label noise `fraction`:
-/// the same structure regardless of noise, so v1 (30 % mislabelled) and v2
-/// (re-cleaned, 0 %) publish as two versions of one model. Fully seeded.
-fn trained(noise: f32) -> (TrainedEnsemble, Vec<Tensor>) {
-    let (train, test) = SyntheticSpec::tabular_like()
-        .train_size(400)
-        .test_size(128)
-        .generate();
-    let spec = InputSpec {
-        channels: 1,
-        size: 4,
-        num_classes: train.num_classes,
-    };
-    let hidden: [&[usize]; 3] = [&[128], &[96, 64], &[96]];
-    let models = hidden
-        .iter()
-        .enumerate()
-        .map(|(i, hidden)| {
-            let mut init = StdRng::seed_from_u64(i as u64 + 1);
-            let mut net = Sequential::new();
-            net.push(Flatten::new());
-            let mut dim = spec.channels * spec.size * spec.size;
-            for &h in *hidden {
-                net.push(Dense::new(dim, h, &mut init));
-                net.push(Relu::new());
-                dim = h;
-            }
-            net.push(Dense::new(dim, train.num_classes, &mut init));
-            let mut model = Model::named(net, spec, format!("MLP-{i}"));
-            let labels = corrupt_labels(&train.labels, train.num_classes, noise, 70 + i as u64);
-            Trainer::new(TrainerConfig {
-                epochs: 8,
-                lr: 0.03,
-                seed: i as u64,
-                ..TrainerConfig::default()
-            })
-            .fit(&mut model, &train.images, &labels);
-            model
-        })
-        .collect();
-    (TrainedEnsemble::new(models), test.images)
-}
-
-/// The ReMIX configuration served and replicated locally — identical on
-/// both sides so byte-identity comparisons are fair.
-fn remix() -> Remix {
-    let config = ExplainerConfig {
-        budget: XaiBudget {
-            sg_samples: 8,
-            batch_size: 64,
-            ..XaiBudget::default()
-        },
-        ..ExplainerConfig::default()
-    };
-    Remix::builder()
-        .seed(11)
-        .threads(1)
-        .explainer_config(config)
-        .build()
-}
-
-/// Captures an ensemble as a registry artifact for `MODEL`.
-fn capture(version: &str, spec: InputSpec, ensemble: &mut TrainedEnsemble) -> EnsembleArtifact {
-    let archs: Vec<String> = (0..ensemble.models.len())
-        .map(|i| format!("MLP-{i}"))
-        .collect();
-    let weights = vec![1.0f32; ensemble.models.len()];
-    EnsembleArtifact::capture(
-        MODEL,
-        version,
-        spec,
-        ensemble,
-        archs,
-        weights,
-        XaiBudget::default(),
-    )
-}
-
-/// Loads `MODEL@version` and applies it onto a clone of `template` — the
-/// exact path the server's swap coordinator takes, so the result is
-/// bit-identical to what the server serves after swapping to `version`.
-fn load_into(
-    registry: &Registry,
-    version: &str,
-    template: &TrainedEnsemble,
-) -> (TrainedEnsemble, u64) {
-    let loaded = registry.load(MODEL, Some(version)).expect(version);
-    let mut ensemble = template.clone();
-    loaded
-        .artifact
-        .apply_to(&mut ensemble)
-        .expect("same structure");
-    (ensemble, loaded.hash)
 }
 
 /// One load phase: `concurrency` keep-alive clients, each sending
@@ -273,8 +156,9 @@ fn main() {
     );
 
     // v1: trained on 30 % mislabelled labels; v2: the re-cleaned retrain.
-    let (mut v1, test_images) = trained(0.3);
-    let (mut v2, _) = trained(0.0);
+    let (mut v1, _, test) = trained(0.3);
+    let (mut v2, _, _) = trained(0.0);
+    let test_images = test.images;
     let spec = InputSpec {
         channels: 1,
         size: 4,

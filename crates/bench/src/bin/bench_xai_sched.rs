@@ -29,7 +29,8 @@
 //!
 //! Writes `results/bench_xai_sched.json`.
 
-use rand::{rngs::StdRng, Rng, SeedableRng};
+use rand::{rngs::StdRng, SeedableRng};
+use remix_bench::harness::corrupt_labels;
 use remix_core::{Remix, TriageScheduler};
 use remix_data::SyntheticSpec;
 use remix_ensemble::{Prediction, TrainedEnsemble};
@@ -65,20 +66,6 @@ impl LoadScale {
 /// Per-request best-of rounds: the tail must reflect the work level, not a
 /// descheduled thread.
 const ROUNDS: usize = 3;
-
-fn corrupt_labels(labels: &[usize], num_classes: usize, fraction: f32, seed: u64) -> Vec<usize> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    labels
-        .iter()
-        .map(|&label| {
-            if rng.gen::<f32>() < fraction {
-                rng.gen_range(0..num_classes)
-            } else {
-                label
-            }
-        })
-        .collect()
-}
 
 /// Same faulty-training-data zoo as `bench_serve`, but keeping the clean
 /// test labels for the accuracy axis of the Pareto sweep.

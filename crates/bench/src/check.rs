@@ -82,7 +82,7 @@ impl GateReport {
 }
 
 /// Field lookup on an object `Value`; `None` for non-objects/missing keys.
-fn get<'a>(value: &'a Value, name: &str) -> Option<&'a Value> {
+pub fn get<'a>(value: &'a Value, name: &str) -> Option<&'a Value> {
     value
         .as_object()?
         .iter()
@@ -104,14 +104,25 @@ fn get_num(value: &Value, name: &str) -> Option<f64> {
     num(get(value, name)?)
 }
 
-fn get_bool(value: &Value, name: &str) -> Option<bool> {
+/// A boolean field of an object `Value`.
+pub fn get_bool(value: &Value, name: &str) -> Option<bool> {
     match get(value, name)? {
         Value::Bool(b) => Some(*b),
         _ => None,
     }
 }
 
-fn get_str<'a>(value: &'a Value, name: &str) -> Option<&'a str> {
+/// A non-negative integer field of an object `Value`.
+pub fn get_u64(value: &Value, name: &str) -> Option<u64> {
+    match get(value, name)? {
+        Value::UInt(u) => Some(*u),
+        Value::Int(i) if *i >= 0 => Some(*i as u64),
+        _ => None,
+    }
+}
+
+/// A string field of an object `Value`.
+pub fn get_str<'a>(value: &'a Value, name: &str) -> Option<&'a str> {
     match get(value, name)? {
         Value::Str(s) => Some(s),
         _ => None,

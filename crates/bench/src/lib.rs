@@ -13,6 +13,7 @@
 #![warn(missing_docs)]
 
 pub mod check;
+pub mod harness;
 pub mod report;
 pub mod runner;
 pub mod scale;

@@ -41,7 +41,7 @@ mod triage;
 mod verdict;
 mod voter;
 
-pub use remix::{Remix, RemixBuilder};
+pub use remix::{Answer, Query, Remix, RemixBuilder, XaiSpend};
 pub use triage::{
     fano_error_bound, plan_downgrades, TriageScheduler, TriageSignals, TriageThresholds,
 };

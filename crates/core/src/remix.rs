@@ -1,10 +1,72 @@
-use crate::triage::TriageScheduler;
+use crate::triage::{plan_downgrades, TriageScheduler, TriageSignals};
 use crate::verdict::{ModelDetail, RemixVerdict, StageTimings};
 use rand::{rngs::StdRng, SeedableRng};
 use remix_diversity::{sparseness_with_threshold, DiversityMetric};
 use remix_ensemble::{majority_with_weights, ModelOutput, Prediction, TrainedEnsemble};
 use remix_tensor::{fnv1a64, splitmix64, Tensor};
+use remix_trace::Counter;
 use remix_xai::{Explainer, ExplainerConfig, XaiLevel, XaiTechnique};
+use std::time::{Duration, Instant};
+
+/// One input to [`Remix::predict_batch`].
+#[derive(Debug, Clone, Copy)]
+pub struct Query<'a> {
+    /// The `[C, H, W]` input.
+    pub image: &'a Tensor,
+    /// When the prediction sweep finishes after this instant, a
+    /// disagreement skips XAI and is answered by the unweighted majority
+    /// vote (see [`Answer::degraded`]). `None` never degrades.
+    pub deadline: Option<Instant>,
+}
+
+impl<'a> Query<'a> {
+    /// A query without a deadline.
+    pub fn new(image: &'a Tensor) -> Self {
+        Query {
+            image,
+            deadline: None,
+        }
+    }
+}
+
+/// What [`Remix::predict_batch`] decided for one [`Query`].
+#[derive(Debug, Clone)]
+pub struct Answer {
+    /// The verdict itself.
+    pub verdict: RemixVerdict,
+    /// The prediction-stage triage signals; `None` on the unanimous fast
+    /// path and for degraded answers, which never reach triage.
+    pub signals: Option<TriageSignals>,
+    /// The deadline had passed after the prediction sweep, so the verdict
+    /// is the unweighted majority vote and no XAI ran.
+    pub degraded: bool,
+    /// The sweep budget lowered this query below its triage level.
+    pub downgraded: bool,
+}
+
+impl Answer {
+    /// An answer decided before triage: the fast path or the deadline
+    /// fallback.
+    fn untriaged(verdict: RemixVerdict, degraded: bool) -> Self {
+        Answer {
+            verdict,
+            signals: None,
+            degraded,
+            downgraded: false,
+        }
+    }
+}
+
+/// The XAI work one [`Remix::predict_batch`] call did.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct XaiSpend {
+    /// Wall time from the first XAI group's sweep to the last verdict it
+    /// resolved (zero when no query ran XAI).
+    pub elapsed: Duration,
+    /// The sweep units those groups cost, summed over models and queries
+    /// (see [`remix_xai::XaiBudget::sweep_units`]).
+    pub sweep_units: u64,
+}
 
 /// The ReMIX meta-learner (paper §IV): XAI technique + diversity metric +
 /// weight-generation parameters.
@@ -41,12 +103,8 @@ impl Remix {
         self.metric
     }
 
-    /// The configured explainer (technique + parameters).
-    ///
-    /// External drivers of the XAI stage — the serving layer coalesces
-    /// several requests into one [`remix_xai::Explainer::explain_many`] call
-    /// — read the technique and [`remix_xai::XaiBudget`] from here so their
-    /// sweeps match what [`Remix::predict`] would run.
+    /// The configured explainer (technique + parameters at the full
+    /// budget); [`Remix::predict_batch`] scales it to each query's level.
     pub fn explainer(&self) -> &Explainer {
         &self.explainer
     }
@@ -58,9 +116,7 @@ impl Remix {
     }
 
     /// The attached triage scheduler, if any (see
-    /// [`RemixBuilder::scheduler`]). External drivers of the XAI stage — the
-    /// serving layer — read it from here so their level assignments match
-    /// what [`Remix::predict`] would decide.
+    /// [`RemixBuilder::scheduler`]).
     pub fn scheduler(&self) -> Option<&TriageScheduler> {
         self.scheduler.as_ref()
     }
@@ -70,9 +126,9 @@ impl Remix {
     /// Keyed by the model's *name* (not its index), so the stream a model
     /// receives is invariant under ensemble permutation, and independent of
     /// every other model's stream — the prerequisite for running XAI in
-    /// parallel, for verdicts that don't depend on model order, and for the
-    /// serving layer to re-create per-request streams when it batches the
-    /// XAI stage across requests.
+    /// parallel, for verdicts that don't depend on model order, and for
+    /// [`Remix::predict_batch`] to give every query in a batch the stream a
+    /// batch of one would draw.
     pub fn xai_rng(&self, model_name: &str) -> StdRng {
         StdRng::seed_from_u64(splitmix64(self.seed ^ fnv1a64(model_name.as_bytes())))
     }
@@ -88,92 +144,211 @@ impl Remix {
         ensemble.freeze_for_inference();
     }
 
-    /// Runs the five-component ReMIX pipeline on one input.
-    ///
-    /// The prediction and XAI stages fan the constituent models out across
-    /// scoped threads (see the `threads` builder option); every model draws
-    /// from its own [`Remix::xai_rng`] stream and the diversity sums
-    /// accumulate in a fixed order, so the verdict is bit-identical for any
-    /// thread count.
-    ///
-    /// Batching and threading compose orthogonally: each thread owns whole
-    /// models, and *within* a model each XAI technique evaluates its
-    /// perturbed inputs in batches of [`RemixBuilder::xai_batch_size`].
-    /// Both knobs are pure execution strategy — the verdict is bit-identical
-    /// for any `(threads, batch_size)` combination.
+    /// Runs the five-component ReMIX pipeline on one input: a batch of one
+    /// through [`Remix::predict_batch`], with no deadline and no sweep
+    /// budget.
     ///
     /// # Panics
     ///
     /// Panics if the ensemble is empty or the image does not match the
     /// models' input spec.
     pub fn predict(&self, ensemble: &mut TrainedEnsemble, image: &Tensor) -> RemixVerdict {
+        let started = Instant::now();
+        let mut verdict = None;
+        self.predict_batch(ensemble, &[Query::new(image)], None, |_, answer| {
+            // Per-verdict latency by kind. Only a batch of one measures it:
+            // inside a larger batch a verdict also waits for its neighbours.
+            let kind = match (answer.verdict.unanimous, answer.verdict.details.is_empty()) {
+                (true, _) => "verdict_unanimous",
+                (false, true) => "verdict_skip",
+                (false, false) => "verdict_weighted",
+            };
+            remix_trace::record_duration(kind, started.elapsed());
+            verdict = Some(answer.verdict);
+        });
+        verdict.expect("predict_batch answers every query")
+    }
+
+    /// Runs the five-component ReMIX pipeline on a batch of queries — the
+    /// one implementation behind [`Remix::predict`] and the serving layer —
+    /// and hands each query's [`Answer`] to `emit(index, answer)`, in this
+    /// order:
+    ///
+    /// 1. After one `predict_proba_batch` sweep per model: unanimous queries
+    ///    (fast path), then disagreements whose deadline has passed (the
+    ///    unweighted majority vote, flagged `degraded`), in query order.
+    /// 2. The scheduler (if any) assigns every other disagreement a level,
+    ///    and [`plan_downgrades`] lowers the most confident ones until the
+    ///    batch fits `sweep_budget`. Without a scheduler every disagreement
+    ///    runs at [`XaiLevel::Full`] and the budget is ignored. Queries at
+    ///    [`XaiLevel::Skip`] get the unweighted majority vote.
+    /// 3. One group per remaining level (Light, Standard, Full), in query
+    ///    order: per model, one [`Explainer::explain_many`] call covers the
+    ///    group, each query drawing its own copy of the model's
+    ///    [`Remix::xai_rng`] stream, and [`Remix::resolve_disagreement`]
+    ///    turns each query's matrices into its verdict.
+    ///
+    /// The sweeps fan the models out over the `threads` setting. Every
+    /// verdict is bit-identical to a batch of one, for any thread count,
+    /// batch size or batch composition; its [`StageTimings`] carries the
+    /// duration of each shared stage it went through. Returns the time and
+    /// sweep units the XAI groups took, from which a caller can price the
+    /// next `sweep_budget`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the ensemble is empty or an image does not match the
+    /// models' input spec.
+    pub fn predict_batch(
+        &self,
+        ensemble: &mut TrainedEnsemble,
+        queries: &[Query<'_>],
+        sweep_budget: Option<u64>,
+        mut emit: impl FnMut(usize, Answer),
+    ) -> XaiSpend {
+        let mut spend = XaiSpend::default();
+        if queries.is_empty() {
+            return spend;
+        }
         let threads = remix_parallel::resolve_threads(self.threads);
-        remix_trace::incr(remix_trace::Counter::Predictions);
-        let predict_span = remix_trace::span("predict");
-        let mut timings = StageTimings {
-            threads,
-            ..StageTimings::default()
-        };
+        remix_trace::add(Counter::Predictions, queries.len() as u64);
+        let _predict_span = remix_trace::span("predict");
         // Each stage runs under a `StageSpan`, which measures wall time
         // whether or not tracing is enabled; `StageTimings` is the view of
         // exactly those measurements (`finish()` returns the same `Duration`
         // the span records), so the legacy struct and the span tree can never
         // disagree.
         let stage = remix_trace::stage_span("prediction");
-        let outputs = ensemble.outputs_with_threads(image, threads);
-        timings.prediction = stage.finish();
-        // Fast path: when every model predicts the same label the ensemble
-        // has no influence, so ReMIX outputs it directly (paper §IV).
-        let first = outputs[0].pred;
-        if self.fast_path && outputs.iter().all(|o| o.pred == first) {
-            remix_trace::incr(remix_trace::Counter::FastPathHits);
-            remix_trace::record_duration("verdict_unanimous", predict_span.finish());
-            return RemixVerdict {
-                prediction: Prediction::Decided(first),
-                unanimous: true,
-                details: Vec::new(),
-                xai_level: XaiLevel::Skip,
-                timings,
-            };
-        }
-        remix_trace::incr(remix_trace::Counter::Disagreements);
-        // Triage: how much XAI does this disagreement deserve? Without a
-        // scheduler every disagreement gets the full budget — the historical
-        // path — and so does a scheduler pinned to `Full` (`at_level(Full)`
-        // is the identity), which the bit-identity suite enforces.
-        let level = match &self.scheduler {
-            Some(scheduler) => scheduler.assess(&outputs).0,
-            None => XaiLevel::Full,
-        };
-        if level == XaiLevel::Skip {
-            // Admission said XAI won't change the outcome: deterministic
-            // unweighted majority vote, tagged as such in the verdict.
-            let prediction =
-                majority_with_weights(outputs.iter().map(|o| (o.pred, 1.0)), outputs.len() as f32);
-            remix_trace::record_duration("verdict_skip", predict_span.finish());
-            return RemixVerdict {
-                prediction,
-                unanimous: false,
-                details: Vec::new(),
-                xai_level: XaiLevel::Skip,
-                timings,
-            };
-        }
-        // (1) Feature Space Extraction, one independent RNG stream per model
-        let explainer = self.explainer.at_level(level);
-        let stage = remix_trace::stage_span("xai");
-        let matrices: Vec<Tensor> =
-            remix_parallel::map_mut_indexed(&mut ensemble.models, threads, |i, model| {
-                let mut rng = self.xai_rng(&model.name);
-                explainer.explain(model, image, outputs[i].pred, &mut rng)
+        let images: Vec<Tensor> = queries.iter().map(|q| q.image.clone()).collect();
+        let per_model =
+            remix_parallel::map_mut_indexed(&mut ensemble.models, threads, |_, model| {
+                model
+                    .predict_proba_batch(&images)
+                    .expect("image matches the models' input spec")
             });
-        timings.xai = stage.finish();
-        let mut verdict = self.resolve_disagreement(ensemble, &outputs, &matrices);
-        verdict.xai_level = level;
-        verdict.timings.prediction = timings.prediction;
-        verdict.timings.xai = timings.xai;
-        remix_trace::record_duration("verdict_weighted", predict_span.finish());
-        verdict
+        let outputs: Vec<Vec<ModelOutput>> = transpose(per_model, queries.len())
+            .into_iter()
+            .map(|probs| probs.into_iter().map(ModelOutput::from_probs).collect())
+            .collect();
+        let timings = StageTimings {
+            prediction: stage.finish(),
+            threads,
+            ..StageTimings::default()
+        };
+
+        let now = Instant::now();
+        // (query index, signals) of every disagreement that reaches triage.
+        let mut triaged: Vec<(usize, TriageSignals)> = Vec::new();
+        let mut assigned: Vec<XaiLevel> = Vec::new();
+        for (k, (query, outs)) in queries.iter().zip(&outputs).enumerate() {
+            // Fast path: when every model predicts the same label the
+            // ensemble has no influence, so ReMIX outputs it directly (paper
+            // §IV).
+            let first = outs[0].pred;
+            if self.fast_path && outs.iter().all(|o| o.pred == first) {
+                remix_trace::incr(Counter::FastPathHits);
+                let verdict = RemixVerdict {
+                    prediction: Prediction::Decided(first),
+                    unanimous: true,
+                    details: Vec::new(),
+                    xai_level: XaiLevel::Skip,
+                    timings,
+                };
+                emit(k, Answer::untriaged(verdict, false));
+                continue;
+            }
+            remix_trace::incr(Counter::Disagreements);
+            if query.deadline.is_some_and(|deadline| now > deadline) {
+                emit(k, Answer::untriaged(majority_verdict(outs, timings), true));
+                continue;
+            }
+            // Triage: how much XAI does this disagreement deserve? Without a
+            // scheduler every disagreement gets the full budget — the
+            // historical path — and so does a scheduler pinned to `Full`
+            // (`at_level(Full)` is the identity), which the bit-identity
+            // suite enforces.
+            let (level, signals) = match &self.scheduler {
+                Some(scheduler) => scheduler.assess(outs),
+                None => (XaiLevel::Full, TriageScheduler::signals(outs)),
+            };
+            triaged.push((k, signals));
+            assigned.push(level);
+        }
+
+        // Pressure valve: levels only move *down*, so a downgraded verdict is
+        // exactly what the scheduler would have produced at the lower level.
+        let nmodels = ensemble.models.len() as u64;
+        let mut levels = assigned.clone();
+        if let (Some(_), Some(budget)) = (&self.scheduler, sweep_budget) {
+            let errors: Vec<f32> = triaged.iter().map(|(_, s)| s.predicted_error).collect();
+            plan_downgrades(
+                &mut levels,
+                &errors,
+                |level| self.explainer.sweep_units_at(level) * nmodels,
+                budget,
+            );
+        }
+        let answer = |i: usize, verdict: RemixVerdict| Answer {
+            verdict,
+            signals: Some(triaged[i].1),
+            degraded: false,
+            downgraded: levels[i] != assigned[i],
+        };
+
+        // Skip: the triage said XAI won't change the outcome, so the
+        // deterministic unweighted majority vote decides.
+        for (i, &(k, _)) in triaged.iter().enumerate() {
+            if levels[i] == XaiLevel::Skip {
+                emit(k, answer(i, majority_verdict(&outputs[k], timings)));
+            }
+        }
+
+        let xai_started = Instant::now();
+        for level in [XaiLevel::Light, XaiLevel::Standard, XaiLevel::Full] {
+            let group: Vec<usize> = (0..triaged.len()).filter(|&i| levels[i] == level).collect();
+            if group.is_empty() {
+                continue;
+            }
+            // (1) Feature Space Extraction, one independent RNG stream per
+            // model and query.
+            let explainer = self.explainer.at_level(level);
+            let stage = remix_trace::stage_span("xai");
+            let level_span = remix_trace::span(match level {
+                XaiLevel::Light => "xai_light",
+                XaiLevel::Standard => "xai_standard",
+                _ => "xai_full",
+            });
+            let per_model =
+                remix_parallel::map_mut_indexed(&mut ensemble.models, threads, |m, model| {
+                    let items: Vec<(&Tensor, usize)> = group
+                        .iter()
+                        .map(|&i| {
+                            let k = triaged[i].0;
+                            (queries[k].image, outputs[k][m].pred)
+                        })
+                        .collect();
+                    let mut rngs: Vec<StdRng> =
+                        group.iter().map(|_| self.xai_rng(&model.name)).collect();
+                    explainer.explain_many(model, &items, &mut rngs)
+                });
+            level_span.finish();
+            let xai = stage.finish();
+            spend.sweep_units +=
+                group.len() as u64 * self.explainer.sweep_units_at(level) * nmodels;
+            // (2)–(5) per query, through the shared resolution path.
+            for (&i, matrices) in group.iter().zip(transpose(per_model, group.len())) {
+                let k = triaged[i].0;
+                let mut verdict = self.resolve_disagreement(ensemble, &outputs[k], &matrices);
+                verdict.xai_level = level;
+                verdict.timings.prediction = timings.prediction;
+                verdict.timings.xai = xai;
+                emit(k, answer(i, verdict));
+            }
+        }
+        if spend.sweep_units > 0 {
+            spend.elapsed = xai_started.elapsed();
+        }
+        spend
     }
 
     /// Runs pipeline stages (2)–(5) — diversity, sparseness, weighting,
@@ -181,12 +356,11 @@ impl Remix {
     /// matrices, in the exact float-accumulation order of
     /// [`Remix::predict`].
     ///
-    /// This is the verdict-resolution half of `predict`, split out so
-    /// callers that produce the inputs differently (the serving layer
-    /// micro-batches the prediction and XAI stages across requests) share
-    /// the same code path bit for bit. The returned timings cover only the
-    /// `diversity` and `weighting` stages; `prediction` and `xai` are the
-    /// caller's to fill.
+    /// This is the verdict-resolution half of [`Remix::predict_batch`],
+    /// public so a caller that computes the outputs and matrices itself can
+    /// check them against the pipeline bit for bit. The returned timings
+    /// cover only the `diversity` and `weighting` stages; `prediction` and
+    /// `xai` are the caller's to fill.
     ///
     /// # Panics
     ///
@@ -280,6 +454,35 @@ impl Remix {
             timings,
         }
     }
+}
+
+/// The deterministic unweighted majority vote: the verdict of a
+/// disagreement that runs no XAI.
+fn majority_verdict(outputs: &[ModelOutput], timings: StageTimings) -> RemixVerdict {
+    RemixVerdict {
+        prediction: majority_with_weights(
+            outputs.iter().map(|o| (o.pred, 1.0)),
+            outputs.len() as f32,
+        ),
+        unanimous: false,
+        details: Vec::new(),
+        xai_level: XaiLevel::Skip,
+        timings,
+    }
+}
+
+/// Turns per-model columns (one entry per query) into per-query rows in
+/// ensemble order.
+fn transpose<T>(columns: Vec<Vec<T>>, rows: usize) -> Vec<Vec<T>> {
+    let mut columns: Vec<_> = columns.into_iter().map(Vec::into_iter).collect();
+    (0..rows)
+        .map(|_| {
+            columns
+                .iter_mut()
+                .map(|column| column.next().expect("one entry per query"))
+                .collect()
+        })
+        .collect()
 }
 
 impl Default for Remix {
@@ -722,6 +925,151 @@ mod tests {
             return;
         }
         panic!("no disagreeing test input found");
+    }
+
+    /// Two unanimous inputs among four disagreements, interleaved so the
+    /// emit order differs from the query order.
+    fn mixed_inputs(ens: &mut TrainedEnsemble, test: &remix_data::Dataset) -> Vec<Tensor> {
+        let (unanimous, split): (Vec<&Tensor>, Vec<&Tensor>) =
+            test.images.iter().partition(|img| {
+                let outs = ens.outputs(img);
+                outs.iter().all(|o| o.pred == outs[0].pred)
+            });
+        assert!(
+            unanimous.len() >= 2 && split.len() >= 4,
+            "retune the test ensemble"
+        );
+        [
+            split[0],
+            unanimous[0],
+            split[1],
+            split[2],
+            unanimous[1],
+            split[3],
+        ]
+        .map(Tensor::clone)
+        .to_vec()
+    }
+
+    fn plain_vote(outs: &[ModelOutput]) -> Prediction {
+        majority_with_weights(outs.iter().map(|o| (o.pred, 1.0)), outs.len() as f32)
+    }
+
+    #[test]
+    fn predict_batch_answers_like_single_predicts_in_the_documented_order() {
+        let (mut ens, test) = small_ensemble();
+        let images = mixed_inputs(&mut ens, &test);
+        let expired = 2; // a disagreement
+        for pinned in [None, Some(XaiLevel::Light), Some(XaiLevel::Skip)] {
+            let mut builder = Remix::builder().seed(8);
+            if let Some(level) = pinned {
+                builder = builder.scheduler(TriageScheduler::pinned(level));
+            }
+            let remix = builder.build();
+            let past = Instant::now();
+            let queries: Vec<Query> = (0..images.len())
+                .map(|k| Query {
+                    image: &images[k],
+                    deadline: (k == expired).then_some(past),
+                })
+                .collect();
+            let mut answers = Vec::new();
+            let spend = remix.predict_batch(&mut ens, &queries, None, |k, a| answers.push((k, a)));
+
+            // Fast path and deadline fallback first, then Skip, then one
+            // group per XAI level, each in query order.
+            let order: Vec<(usize, usize)> = answers
+                .iter()
+                .map(|(k, a)| {
+                    let v = &a.verdict;
+                    let phase = if v.unanimous || a.degraded {
+                        0
+                    } else {
+                        1 + v.xai_level as usize
+                    };
+                    (phase, *k)
+                })
+                .collect();
+            assert!(
+                order.windows(2).all(|w| w[0] < w[1]),
+                "{pinned:?}: {order:?}"
+            );
+            let mut seen: Vec<usize> = order.iter().map(|&(_, k)| k).collect();
+            seen.sort_unstable();
+            assert_eq!(seen, (0..images.len()).collect::<Vec<_>>());
+
+            let mut xai_queries = 0;
+            for (k, answer) in &answers {
+                let outs = ens.outputs(&images[*k]);
+                assert!(!answer.downgraded);
+                assert_eq!(answer.degraded, *k == expired);
+                if answer.degraded {
+                    assert_eq!(answer.verdict.prediction, plain_vote(&outs));
+                    assert_eq!(answer.verdict.xai_level, XaiLevel::Skip);
+                    assert!(answer.verdict.details.is_empty() && answer.signals.is_none());
+                    continue;
+                }
+                let single = remix.predict(&mut ens, &images[*k]);
+                assert_eq!(answer.verdict.prediction, single.prediction);
+                assert_eq!(answer.verdict.unanimous, single.unanimous);
+                assert_eq!(answer.verdict.xai_level, single.xai_level);
+                assert_details_bitwise_equal(&answer.verdict, &single);
+                let signals = (!single.unanimous).then(|| TriageScheduler::signals(&outs));
+                assert_eq!(answer.signals, signals);
+                xai_queries += u64::from(!single.details.is_empty());
+            }
+            let level = pinned.unwrap_or(XaiLevel::Full);
+            let units = xai_queries * remix.explainer().sweep_units_at(level) * 3;
+            assert_eq!(spend.sweep_units, units);
+            assert_eq!(spend.elapsed.is_zero(), units == 0);
+        }
+    }
+
+    #[test]
+    fn zero_sweep_budget_downgrades_every_disagreement_to_skip() {
+        let (mut ens, test) = small_ensemble();
+        let images = mixed_inputs(&mut ens, &test);
+        let queries: Vec<Query> = images.iter().map(Query::new).collect();
+        let light = Remix::builder()
+            .scheduler(TriageScheduler::pinned(XaiLevel::Light))
+            .build();
+        let mut answers = Vec::new();
+        let spend = light.predict_batch(&mut ens, &queries, Some(0), |k, a| answers.push((k, a)));
+        assert_eq!(answers.len(), images.len());
+        assert_eq!(spend, XaiSpend::default());
+        for (k, answer) in &answers {
+            let v = &answer.verdict;
+            assert_eq!(v.xai_level, XaiLevel::Skip);
+            assert_eq!(answer.downgraded, !v.unanimous);
+            if !v.unanimous {
+                assert_eq!(v.prediction, plain_vote(&ens.outputs(&images[*k])));
+            }
+        }
+        // A budget one query short drops exactly one disagreement to Skip,
+        // and Skip answers go out before the Light group.
+        let per_query = light.explainer().sweep_units_at(XaiLevel::Light) * 3;
+        let mut split = Vec::new();
+        light.predict_batch(&mut ens, &queries, Some(3 * per_query), |_, a| {
+            if !a.verdict.unanimous {
+                split.push((a.verdict.xai_level, a.downgraded));
+            }
+        });
+        let light_answer = (XaiLevel::Light, false);
+        assert_eq!(
+            split,
+            [
+                (XaiLevel::Skip, true),
+                light_answer,
+                light_answer,
+                light_answer
+            ]
+        );
+        // Without a scheduler the budget is ignored.
+        let mut downgraded = 0;
+        Remix::default().predict_batch(&mut ens, &queries, Some(0), |_, a| {
+            downgraded += usize::from(a.downgraded);
+        });
+        assert_eq!(downgraded, 0);
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //! channel; the serving path never blocks on it.
 
 use crate::server::ServeStats;
+use remix_core::Answer;
 use remix_drift::{DriftAlert, DriftDetector, DriftFeature, VerdictFeatures};
 use remix_trace::Counter;
-use remix_xai::XaiLevel;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 
@@ -156,13 +156,22 @@ impl EngineDrift {
     }
 }
 
-/// The drift detector's numeric rung for an XAI ladder level.
-pub(crate) fn ladder_rung(level: XaiLevel) -> u8 {
-    match level {
-        XaiLevel::Skip => 0,
-        XaiLevel::Light => 1,
-        XaiLevel::Standard => 2,
-        XaiLevel::Full => 3,
+/// The features the drift detector folds for one answered query.
+pub(crate) fn verdict_features(answer: &Answer) -> VerdictFeatures {
+    let verdict = &answer.verdict;
+    if verdict.unanimous {
+        return VerdictFeatures::unanimous();
+    }
+    VerdictFeatures {
+        disagreement: true,
+        margin: answer.signals.map(|s| s.margin),
+        entropy: answer.signals.map(|s| s.entropy),
+        // Only an XAI verdict carries per-model weights.
+        weight_spread: (!verdict.details.is_empty()).then(|| verdict.weight_spread()),
+        // The ladder position: Skip = 0 … Full = 3.
+        xai_rung: verdict.xai_level as u8,
+        degraded: answer.degraded,
+        downgraded: answer.downgraded,
     }
 }
 
@@ -215,9 +224,22 @@ mod tests {
 
     #[test]
     fn ladder_rungs_are_monotone() {
-        assert_eq!(ladder_rung(XaiLevel::Skip), 0);
-        assert_eq!(ladder_rung(XaiLevel::Light), 1);
-        assert_eq!(ladder_rung(XaiLevel::Standard), 2);
-        assert_eq!(ladder_rung(XaiLevel::Full), 3);
+        use remix_xai::XaiLevel::{Full, Light, Skip, Standard};
+        for (rung, level) in [(0, Skip), (1, Light), (2, Standard), (3, Full)] {
+            let verdict = remix_core::RemixVerdict {
+                prediction: remix_ensemble::Prediction::Decided(0),
+                unanimous: false,
+                details: Vec::new(),
+                xai_level: level,
+                timings: Default::default(),
+            };
+            let answer = Answer {
+                verdict,
+                signals: None,
+                degraded: false,
+                downgraded: false,
+            };
+            assert_eq!(verdict_features(&answer).xai_rung, rung, "{level:?}");
+        }
     }
 }

@@ -1,42 +1,32 @@
 //! The inference engine: each shard runs one of these on its own thread,
 //! owning an ensemble replica and turning micro-batches of requests into
-//! verdicts.
+//! replies.
 //!
-//! Per batch, the engine runs the same five-stage ReMIX pipeline as
-//! [`Remix::predict`], but stage by stage *across requests*:
+//! The ReMIX pipeline itself is [`Remix::predict_batch`], the code
+//! [`Remix::predict`] runs as a batch of one, so every non-degraded served
+//! verdict is bit-identical to `Remix::predict` for the same input — the
+//! property the bench gate asserts byte for byte on the wire. Around it the
+//! engine keeps only what belongs to serving:
 //!
-//! 1. **Prediction** — each model forwards the whole batch in one
-//!    `predict_proba_batch` sweep (bit-identical to per-sample forwards).
-//! 2. **Triage** — unanimous requests take the fast path; disagreeing
-//!    requests whose deadline already passed take the degraded majority-vote
-//!    fallback; the rest proceed to XAI. The deadline is checked here, at
-//!    the last point before the expensive stage is committed to.
-//! 3. **XAI** — per model, all surviving requests' perturbations coalesce
-//!    into shared gradient sweeps via [`remix_xai::Explainer::explain_many`],
-//!    each request drawing from the same per-model RNG stream
-//!    ([`Remix::xai_rng`]) it would get from `Remix::predict`.
-//! 4. **Diversity + weighting** — per request, through
-//!    [`Remix::resolve_disagreement`], the exact code `predict` runs
-//!    (stages 4 and 5 of the pipeline are one call here).
-//!
-//! Every non-degraded verdict is therefore bit-identical to what
-//! `Remix::predict` would return for the same input — the property the
-//! bench gate asserts byte-for-byte on the wire.
+//! * **Pricing** — the batch's latency budget becomes a sweep-unit budget
+//!   through a running ns-per-unit estimate, refreshed from the XAI time
+//!   each batch reports.
+//! * **Replies** — for every answer, in the order `predict_batch` emits it
+//!   (fast-path and deadline fallbacks before the XAI sweep starts), the
+//!   engine counts it, caches the rendered fragment when eligible, replies,
+//!   and folds its features into the drift detector.
 
 use crate::batcher::{BatchQueue, EngineReply, PendingRequest};
 use crate::cache::{generation_key, VerdictCache};
-use crate::drift::{ladder_rung, EngineDrift};
+use crate::drift::{verdict_features, EngineDrift};
 use crate::protocol;
 use crate::server::ServeStats;
-use remix_core::{Remix, TriageScheduler, TriageSignals};
-use remix_drift::VerdictFeatures;
-use remix_ensemble::{majority_with_weights, ModelOutput, TrainedEnsemble};
-use remix_tensor::Tensor;
+use remix_core::{Query, Remix};
+use remix_ensemble::TrainedEnsemble;
 use remix_trace::Counter;
-use remix_xai::XaiLevel;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Smoothing factor for the engine's running ns-per-sweep-unit estimate:
 /// each measured XAI stage contributes 30 %, so the estimate tracks load
@@ -134,301 +124,68 @@ impl Engine {
     }
 
     fn process(&mut self, batch: Vec<PendingRequest>) {
-        let span = remix_trace::span("serve_batch");
+        let _span = remix_trace::span("serve_batch");
         self.stats.bump_batch(batch.len());
         remix_trace::incr(Counter::ServeBatches);
-        remix_trace::add(Counter::Predictions, batch.len() as u64);
-
-        // Stage 1: every model forwards the whole batch in one sweep.
-        let images: Vec<Tensor> = batch.iter().map(|r| r.image.clone()).collect();
-        let stage = remix_trace::span("prediction");
-        let per_model: Vec<Vec<Tensor>> = self
-            .ensemble
-            .models
-            .iter_mut()
-            .map(|m| {
-                m.predict_proba_batch(&images)
-                    .expect("inputs validated against the model spec at accept time")
-            })
-            .collect();
-        let outputs: Vec<Vec<ModelOutput>> = (0..batch.len())
-            .map(|k| {
-                per_model
-                    .iter()
-                    .map(|probs| ModelOutput::from_probs(probs[k].clone()))
-                    .collect()
-            })
-            .collect();
-        stage.finish();
-
-        // Stage 2: triage. The deadline is evaluated once, now — after the
-        // cheap prediction stage, before committing to the XAI stage — and
-        // the scheduler (when attached) assigns every surviving disagreement
-        // its budget level from the prediction-stage signals alone.
-        let now = Instant::now();
-        // (request index, assigned level, prediction-stage signals)
-        let mut xai: Vec<(usize, XaiLevel, TriageSignals)> = Vec::new();
-        for (k, request) in batch.iter().enumerate() {
-            let outs = &outputs[k];
-            let first = outs[0].pred;
-            if self.remix.fast_path_enabled() && outs.iter().all(|o| o.pred == first) {
-                remix_trace::incr(Counter::FastPathHits);
-                let verdict = remix_core::RemixVerdict {
-                    prediction: remix_ensemble::Prediction::Decided(first),
-                    unanimous: true,
-                    details: Vec::new(),
-                    xai_level: XaiLevel::Skip,
-                    timings: remix_core::StageTimings::default(),
-                };
-                self.stats.bump_level(XaiLevel::Skip);
-                self.finish(
-                    request,
-                    protocol::verdict_fragment(&verdict),
-                    false,
-                    true,
-                    true,
-                );
-                if let Some(drift) = &mut self.drift {
-                    drift.fold(&VerdictFeatures::unanimous());
-                }
-                continue;
-            }
-            remix_trace::incr(Counter::Disagreements);
-            if now > request.deadline {
-                self.stats.bump_degraded();
-                remix_trace::incr(Counter::ServeDegraded);
-                let vote =
-                    majority_with_weights(outs.iter().map(|o| (o.pred, 1.0)), outs.len() as f32);
-                self.finish(
-                    request,
-                    protocol::degraded_fragment(&vote),
-                    true,
-                    false,
-                    false,
-                );
-                if let Some(drift) = &mut self.drift {
-                    drift.fold(&VerdictFeatures {
-                        disagreement: true,
-                        margin: None,
-                        entropy: None,
-                        weight_spread: None,
-                        xai_rung: 0,
-                        degraded: true,
-                        downgraded: false,
-                    });
-                }
-                continue;
-            }
-            let (level, signals) = match self.remix.scheduler() {
-                Some(scheduler) => scheduler.assess(outs),
-                // Without a scheduler the level is always Full; the signals
-                // are only worth computing when the drift detector will fold
-                // them (they feed nothing else on this path).
-                None if self.drift.is_some() => (XaiLevel::Full, TriageScheduler::signals(outs)),
-                None => (
-                    XaiLevel::Full,
-                    TriageSignals {
-                        margin: 0.0,
-                        entropy: 0.0,
-                        predicted_error: 0.0,
-                    },
-                ),
-            };
-            xai.push((k, level, signals));
-        }
-        if xai.is_empty() {
-            span.finish();
-            return;
-        }
-
-        // Pressure valve: when a latency budget is set and the cost model is
-        // warm, shrink the batch's XAI bill to fit by downgrading the
-        // most-confident requests one rung at a time — a continuum below the
-        // deadline cliff. Levels may only move *down* here, so a downgraded
-        // verdict is exactly what the scheduler would have produced at the
-        // lower level; it just isn't cached (the downgrade depends on queue
-        // pressure, not on the input).
-        let nmodels = self.ensemble.models.len() as u64;
-        let assigned: Vec<XaiLevel> = xai.iter().map(|&(_, level, _)| level).collect();
-        if self.remix.scheduler().is_some()
-            && !self.latency_budget.is_zero()
-            && self.ns_per_unit > 0.0
-        {
-            let budget_units = (self.latency_budget.as_nanos() as f64 / self.ns_per_unit) as u64;
-            let mut levels = assigned.clone();
-            let errors: Vec<f32> = xai.iter().map(|&(_, _, s)| s.predicted_error).collect();
-            let explainer = *self.remix.explainer();
-            remix_core::plan_downgrades(
-                &mut levels,
-                &errors,
-                |level| explainer.sweep_units_at(level) * nmodels,
-                budget_units,
-            );
-            for (entry, &level) in xai.iter_mut().zip(&levels) {
-                entry.1 = level;
-            }
-        }
-        let downgraded: Vec<bool> = xai
+        let queries: Vec<Query> = batch
             .iter()
-            .zip(&assigned)
-            .map(|(&(_, level, _), &was)| level != was)
+            .map(|request| Query {
+                image: &request.image,
+                deadline: Some(request.deadline),
+            })
             .collect();
-        self.stats
-            .bump_downgraded(downgraded.iter().filter(|&&d| d).count());
-
-        // Scheduler-admitted Skip: deterministic majority vote, cacheable
-        // (unlike the deadline fallback, the level is a pure function of the
-        // input) unless queue pressure forced the downgrade.
-        for (i, &(k, level, signals)) in xai.iter().enumerate() {
-            if level != XaiLevel::Skip {
-                continue;
-            }
-            let outs = &outputs[k];
-            let verdict = remix_core::RemixVerdict {
-                prediction: majority_with_weights(
-                    outs.iter().map(|o| (o.pred, 1.0)),
-                    outs.len() as f32,
-                ),
-                unanimous: false,
-                details: Vec::new(),
-                xai_level: XaiLevel::Skip,
-                timings: remix_core::StageTimings::default(),
-            };
-            self.stats.bump_level(XaiLevel::Skip);
-            self.finish(
-                &batch[k],
-                protocol::verdict_fragment(&verdict),
-                false,
-                false,
-                !downgraded[i],
-            );
-            if let Some(drift) = &mut self.drift {
-                drift.fold(&VerdictFeatures {
-                    disagreement: true,
-                    margin: Some(signals.margin),
-                    entropy: Some(signals.entropy),
-                    weight_spread: None,
-                    xai_rung: 0,
-                    degraded: false,
-                    downgraded: downgraded[i],
+        // The latency budget in sweep units, once the cost model is warm.
+        let sweep_budget = (!self.latency_budget.is_zero() && self.ns_per_unit > 0.0)
+            .then(|| (self.latency_budget.as_nanos() as f64 / self.ns_per_unit) as u64);
+        let (stats, cache, drift) = (&self.stats, &self.cache, &mut self.drift);
+        let artifact_hash = self.artifact_hash;
+        let spend =
+            self.remix
+                .predict_batch(&mut self.ensemble, &queries, sweep_budget, |k, answer| {
+                    let request = &batch[k];
+                    let verdict = &answer.verdict;
+                    let fragment: Arc<str> = if answer.degraded {
+                        stats.bump_degraded();
+                        remix_trace::incr(Counter::ServeDegraded);
+                        protocol::degraded_fragment(&verdict.prediction).into()
+                    } else {
+                        stats.bump_level(verdict.xai_level);
+                        protocol::verdict_fragment(verdict).into()
+                    };
+                    if answer.downgraded {
+                        stats.bump_downgraded();
+                    }
+                    // Degraded and downgraded verdicts depend on load, not
+                    // only on the input, so they are never cached. The key
+                    // is *this engine's* artifact hash — not the group's
+                    // currently-published one — so a verdict prepared under
+                    // version A but finishing after a flip to B can never
+                    // surface on B's lookups.
+                    if !answer.degraded && !answer.downgraded && !request.no_cache {
+                        cache.insert(
+                            generation_key(request.key, artifact_hash),
+                            request.image.data(),
+                            Arc::clone(&fragment),
+                        );
+                    }
+                    request.reply.respond(EngineReply::verdict(
+                        fragment,
+                        answer.degraded,
+                        verdict.unanimous,
+                    ));
+                    if let Some(drift) = drift {
+                        drift.fold(&verdict_features(&answer));
+                    }
                 });
-            }
-        }
-
-        // Stage 3: coalesced XAI, one group per remaining ladder level — for
-        // each model, one explain_many call covering the group, each request
-        // with its own copy of the model's deterministic RNG stream
-        // (identical to what `Remix::predict` would draw at that level).
-        // Stages 4+5 resolve each group's verdicts through the shared path.
-        let stage = remix_trace::span("xai");
-        let xai_started = Instant::now();
-        let mut stage_units = 0u64;
-        for level in [XaiLevel::Light, XaiLevel::Standard, XaiLevel::Full] {
-            let group: Vec<usize> = xai
-                .iter()
-                .enumerate()
-                .filter(|&(_, &(_, l, _))| l == level)
-                .map(|(i, _)| i)
-                .collect();
-            if group.is_empty() {
-                continue;
-            }
-            let explainer = self.remix.explainer().at_level(level);
-            let level_span = remix_trace::span(match level {
-                XaiLevel::Light => "xai_light",
-                XaiLevel::Standard => "xai_standard",
-                _ => "xai_full",
-            });
-            let mut matrices: Vec<Vec<Tensor>> =
-                vec![Vec::with_capacity(nmodels as usize); group.len()];
-            for (m, model) in self.ensemble.models.iter_mut().enumerate() {
-                let items: Vec<(&Tensor, usize)> = group
-                    .iter()
-                    .map(|&i| {
-                        let k = xai[i].0;
-                        (&batch[k].image, outputs[k][m].pred)
-                    })
-                    .collect();
-                let mut rngs: Vec<_> = group
-                    .iter()
-                    .map(|_| self.remix.xai_rng(&model.name))
-                    .collect();
-                for (slot, matrix) in matrices
-                    .iter_mut()
-                    .zip(explainer.explain_many(model, &items, &mut rngs))
-                {
-                    slot.push(matrix);
-                }
-            }
-            level_span.finish();
-            stage_units += group.len() as u64
-                * explainer.config.budget.sweep_units(explainer.technique)
-                * nmodels;
-            for (g, &i) in group.iter().enumerate() {
-                let (k, _, signals) = xai[i];
-                let mut verdict =
-                    self.remix
-                        .resolve_disagreement(&self.ensemble, &outputs[k], &matrices[g]);
-                verdict.xai_level = level;
-                self.stats.bump_level(level);
-                let weight_spread = verdict.weight_spread();
-                self.finish(
-                    &batch[k],
-                    protocol::verdict_fragment(&verdict),
-                    false,
-                    false,
-                    !downgraded[i],
-                );
-                if let Some(drift) = &mut self.drift {
-                    drift.fold(&VerdictFeatures {
-                        disagreement: true,
-                        margin: Some(signals.margin),
-                        entropy: Some(signals.entropy),
-                        weight_spread: Some(weight_spread),
-                        xai_rung: ladder_rung(level),
-                        degraded: false,
-                        downgraded: downgraded[i],
-                    });
-                }
-            }
-        }
-        // Refresh the cost model from what the stage actually took. Prices
-        // future downgrade decisions only; never the verdicts themselves.
-        if stage_units > 0 {
-            let measured = xai_started.elapsed().as_nanos() as f64 / stage_units as f64;
+        // Refresh the cost model from what the XAI stage actually took. It
+        // prices future downgrade decisions only, never the verdicts.
+        if spend.sweep_units > 0 {
+            let measured = spend.elapsed.as_nanos() as f64 / spend.sweep_units as f64;
             self.ns_per_unit = if self.ns_per_unit > 0.0 {
                 COST_EWMA_ALPHA * measured + (1.0 - COST_EWMA_ALPHA) * self.ns_per_unit
             } else {
                 measured
             };
         }
-        stage.finish();
-        span.finish();
-    }
-
-    /// Caches (when eligible) and delivers one reply.
-    fn finish(
-        &self,
-        request: &PendingRequest,
-        fragment: String,
-        degraded: bool,
-        unanimous: bool,
-        cacheable: bool,
-    ) {
-        let fragment: Arc<str> = Arc::from(fragment);
-        if cacheable && !degraded && !request.no_cache {
-            // Key the insert under *this engine's* artifact hash — not the
-            // group's currently-published one — so a verdict prepared under
-            // version A but finishing after a flip to B can never surface
-            // on B's lookups.
-            self.cache.insert(
-                generation_key(request.key, self.artifact_hash),
-                request.image.data(),
-                Arc::clone(&fragment),
-            );
-        }
-        request
-            .reply
-            .respond(EngineReply::verdict(fragment, degraded, unanimous));
     }
 }

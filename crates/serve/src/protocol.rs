@@ -37,8 +37,9 @@ pub struct PredictRequest {
 ///
 /// # Errors
 ///
-/// Returns a human-readable message for malformed JSON, a missing or
-/// non-numeric `image` array, or wrong field types.
+/// Returns a human-readable message for malformed JSON, a missing
+/// `image` array or one with an entry that is not a finite f32, or wrong
+/// field types.
 pub fn parse_predict(body: &[u8]) -> Result<PredictRequest, String> {
     let text = std::str::from_utf8(body).map_err(|_| "body is not utf-8".to_string())?;
     let value: Value = serde_json::from_str(text).map_err(|e| format!("invalid json: {e:?}"))?;
@@ -50,9 +51,10 @@ pub fn parse_predict(body: &[u8]) -> Result<PredictRequest, String> {
         .as_array()
         .ok_or_else(|| "`image` must be an array".to_string())?
         .iter()
-        .map(|v| num(v).map(|f| f as f32))
+        // A number beyond f32 range would become ±inf and reach the models.
+        .map(|v| num(v).map(|f| f as f32).filter(|f| f.is_finite()))
         .collect::<Option<Vec<f32>>>()
-        .ok_or_else(|| "`image` entries must be numbers".to_string())?;
+        .ok_or_else(|| "`image` entries must be finite f32 numbers".to_string())?;
     let deadline_ms = match field(pairs, "deadline_ms") {
         None | Some(Value::Null) => None,
         Some(v) => Some(
@@ -252,6 +254,11 @@ mod tests {
         assert!(parse_predict(br#"{"image":[1],"deadline_ms":-3}"#).is_err());
         assert!(parse_predict(br#"{"image":[1],"no_cache":1}"#).is_err());
         assert!(parse_predict(br#"{"image":[1],"model":7}"#).is_err());
+        // Beyond f32 range: the cast would turn these into ±inf.
+        for body in [r#"{"image":[0.5,1e39]}"#, r#"{"image":[-1e39,0.5]}"#] {
+            let err = parse_predict(body.as_bytes()).unwrap_err();
+            assert!(err.contains("finite"), "{err}");
+        }
     }
 
     #[test]

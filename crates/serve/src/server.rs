@@ -192,10 +192,8 @@ impl ServeStats {
         counter.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub(crate) fn bump_downgraded(&self, count: usize) {
-        if count > 0 {
-            self.downgraded.fetch_add(count as u64, Ordering::Relaxed);
-        }
+    pub(crate) fn bump_downgraded(&self) {
+        self.downgraded.fetch_add(1, Ordering::Relaxed);
     }
 }
 

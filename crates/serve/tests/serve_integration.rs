@@ -176,6 +176,27 @@ fn served_verdicts_match_remix_predict_byte_for_byte() {
 }
 
 #[test]
+fn threads_setting_fans_out_without_changing_a_byte() {
+    // The served Remix's `threads` setting (`remix serve --threads`) fans
+    // each batch's prediction and XAI stages out over the models; the
+    // verdicts must still match a sequential local predict byte for byte.
+    let (ensemble, images) = setup();
+    let (mut local, _) = setup();
+    let (_, split) = split_inputs(&mut local, &images);
+    let two_threads = Remix::builder().seed(7).threads(2).build();
+    let server = Server::start(ensemble, two_threads, ServeConfig::default()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let reference = remix();
+    for image in images.iter().take(12).chain([&split]) {
+        let reply = client.predict(image.data(), Some(10_000), true).unwrap();
+        assert_eq!(reply.status, 200);
+        assert!(!reply.degraded);
+        let expected = verdict_fragment(&reference.predict(&mut local, image));
+        assert_eq!(reply.verdict_json, expected);
+    }
+}
+
+#[test]
 fn zero_deadline_disagreement_degrades_to_majority_vote() {
     let (ensemble, images) = setup();
     let (mut local, _) = setup();
@@ -582,6 +603,34 @@ fn latency_pressure_downgrades_instead_of_degrading() {
     assert_eq!(stats.degraded, 0);
     assert_eq!(stats.xai_full, 1);
     assert!(stats.xai_skip >= 1);
+}
+
+#[test]
+fn out_of_range_pixels_are_rejected_with_400() {
+    let (ensemble, images) = setup();
+    let server = Server::start(ensemble, remix(), ServeConfig::default()).unwrap();
+    let len = images[0].data().len();
+    // 1e39 is a valid JSON number but overflows f32 to ±inf.
+    for bad in ["1e39", "-1e39"] {
+        let mut pixels = vec!["0.5"; len];
+        pixels[len / 2] = bad;
+        let body = format!("{{\"image\":[{}],\"no_cache\":true}}", pixels.join(","));
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        write!(
+            stream,
+            "POST /predict HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        )
+        .unwrap();
+        let (status, _, reply) = read_one_response(&mut BufReader::new(stream));
+        assert_eq!(status, 400, "{bad}: {reply}");
+        assert_eq!(
+            reply, "{\"error\":\"`image` entries must be finite f32 numbers\"}",
+            "{bad}"
+        );
+    }
+    // Rejected before accounting: nothing reached the ensemble.
+    assert_eq!(server.stats().requests, 0);
 }
 
 #[test]
