@@ -29,7 +29,7 @@
 //! zero-counters, and the detection budget against the committed baseline.
 
 use remix_bench::check::{get, get_bool, get_str, get_u64};
-use remix_bench::harness::{capture, load_into, remix, trained, MODEL};
+use remix_bench::harness::{capture, load_into, remix, trained, MODEL, PUBLISHED};
 use remix_ensemble::TrainedEnsemble;
 use remix_faults::pattern;
 use remix_nn::InputSpec;
@@ -46,30 +46,12 @@ use std::time::{Duration, Instant};
 /// the `check_drift` gate.
 const DETECTION_BUDGET: u64 = remix_bench::check::DRIFT_MAX_DETECTION_VERDICTS as u64;
 
-/// Stream profile; `REMIX_SCALE=paper` lengthens every phase.
+/// Stream profile.
 struct LoadScale {
-    name: &'static str,
     /// Clean verdicts before injection (reference window + armed prefix).
     clean_requests: usize,
     /// Clean verdicts streamed after the swap completes.
     recovery_requests: usize,
-}
-
-impl LoadScale {
-    fn from_env() -> Self {
-        match std::env::var("REMIX_SCALE").as_deref() {
-            Ok("paper") => LoadScale {
-                name: "paper",
-                clean_requests: 512,
-                recovery_requests: 512,
-            },
-            _ => LoadScale {
-                name: "quick",
-                clean_requests: 384,
-                recovery_requests: 320,
-            },
-        }
-    }
 }
 
 /// Builds the shifted stream: inputs blended 50/50 across the most-confusable
@@ -134,15 +116,25 @@ fn drift_group(drift: &Value) -> Value {
 }
 
 fn main() {
-    let scale = LoadScale::from_env();
+    // `REMIX_SCALE=paper` lengthens every phase.
+    let (scale_name, scale) = remix_bench::scale::select(
+        LoadScale {
+            clean_requests: 384,
+            recovery_requests: 320,
+        },
+        LoadScale {
+            clean_requests: 512,
+            recovery_requests: 512,
+        },
+    );
     println!(
         "bench_drift [{}]: {} clean + <= {DETECTION_BUDGET} shifted + {} recovery verdicts",
-        scale.name, scale.clean_requests, scale.recovery_requests
+        scale_name, scale.clean_requests, scale.recovery_requests
     );
 
     // v1: trained on 30 % mislabelled labels; v2: the re-cleaned retrain.
-    let (mut v1, train, test) = trained(0.3);
-    let (mut v2, _, _) = trained(0.0);
+    let (mut v1, train, test) = trained(PUBLISHED, [0.3; 3], 128);
+    let (mut v2, _, _) = trained(PUBLISHED, [0.0; 3], 128);
     let spec = InputSpec {
         channels: 1,
         size: 4,
@@ -369,7 +361,7 @@ fn main() {
     let host_cores = remix_parallel::num_threads();
     let record = format!(
         "{{\n  \"benchmark\": \"bench_drift\",\n  \"scale\": \"{}\",\n  \"model\": \"{MODEL}\",\n  \"host_cores\": {host_cores},\n  \"clean_requests\": {},\n  \"clean_false_trips\": {clean_false_trips},\n  \"detector_verdicts_identical\": {detector_verdicts_identical},\n  \"shift_pool\": {},\n  \"injected_at\": {injected_at},\n  \"tripped_feature\": \"{tripped_feature}\",\n  \"detection_verdicts\": {detection_verdicts},\n  \"detection_budget\": {DETECTION_BUDGET},\n  \"detected_within_budget\": {detected_within_budget},\n  \"detection_headroom\": {detection_headroom:.3},\n  \"swap_promoted\": {swap_promoted},\n  \"swap_status\": {swap_status},\n  \"post_swap_version\": \"{post_swap_version}\",\n  \"detector_reset_after_swap\": {detector_reset_after_swap},\n  \"recovery_requests\": {},\n  \"post_swap_false_trips\": {post_swap_false_trips},\n  \"post_swap_identical\": {post_swap_identical},\n  \"dropped_requests\": {dropped_requests},\n  \"errored_requests\": {errored_requests}\n}}\n",
-        scale.name,
+        scale_name,
         scale.clean_requests,
         shift_pool.len(),
         scale.recovery_requests,

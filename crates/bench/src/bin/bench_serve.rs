@@ -28,124 +28,23 @@
 //! overhead. Writes `results/bench_serve.json`; `bench_check` gates the
 //! speedup ratio and the three identity flags against the committed baseline.
 
-use rand::{rngs::StdRng, SeedableRng};
-use remix_bench::harness::{corrupt_labels, remix};
-use remix_data::SyntheticSpec;
+use remix_bench::harness::{remix, run_phase, trained, ZOO, ZOO_NOISE};
 use remix_ensemble::{majority_with_weights, TrainedEnsemble};
-use remix_nn::layers::{Dense, Flatten, Relu};
-use remix_nn::{InputSpec, Model, Sequential, Trainer, TrainerConfig};
-use remix_serve::{degraded_fragment, verdict_fragment, Client, ClientReply, ServeConfig, Server};
-use remix_tensor::Tensor;
+use remix_serve::{degraded_fragment, verdict_fragment, ClientReply, ServeConfig, Server};
 use std::io::Write;
-use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// Load profile; `REMIX_SCALE=paper` doubles the stream.
+/// Load profile: concurrent keep-alive clients and requests per client.
 struct LoadScale {
-    name: &'static str,
     concurrency: usize,
     requests_per_client: usize,
 }
 
-impl LoadScale {
-    fn from_env() -> Self {
-        match std::env::var("REMIX_SCALE").as_deref() {
-            Ok("paper") => LoadScale {
-                name: "paper",
-                concurrency: 16,
-                requests_per_client: 80,
-            },
-            _ => LoadScale {
-                name: "quick",
-                concurrency: 8,
-                requests_per_client: 40,
-            },
-        }
-    }
-}
-
-/// Trains the served ensemble: three tabular MLPs on 0 %/30 %/50 %
-/// mislabelled labels (the paper's faulty-training-data lever), fully seeded
-/// so a second call produces a bit-identical local replica.
-fn trained_ensemble() -> (TrainedEnsemble, Vec<Tensor>) {
-    let (train, test) = SyntheticSpec::tabular_like()
-        .train_size(400)
-        .test_size(128)
-        .generate();
-    let spec = InputSpec {
-        channels: 1,
-        size: 4,
-        num_classes: train.num_classes,
-    };
-    let configs: [(&str, &[usize], f32); 3] = [
-        ("MLP-wide", &[128], 0.0),
-        ("MLP-deep", &[96, 64], 0.3),
-        ("MLP-drop", &[96], 0.5),
-    ];
-    let models = configs
-        .iter()
-        .enumerate()
-        .map(|(i, (name, hidden, noise))| {
-            let mut init = StdRng::seed_from_u64(i as u64 + 1);
-            let mut net = Sequential::new();
-            net.push(Flatten::new());
-            let mut dim = spec.channels * spec.size * spec.size;
-            for &h in *hidden {
-                net.push(Dense::new(dim, h, &mut init));
-                net.push(Relu::new());
-                dim = h;
-            }
-            net.push(Dense::new(dim, train.num_classes, &mut init));
-            let mut model = Model::named(net, spec, *name);
-            let labels = corrupt_labels(&train.labels, train.num_classes, *noise, 70 + i as u64);
-            Trainer::new(TrainerConfig {
-                epochs: 8,
-                lr: 0.03,
-                seed: i as u64,
-                ..TrainerConfig::default()
-            })
-            .fit(&mut model, &train.images, &labels);
-            model
-        })
-        .collect();
-    (TrainedEnsemble::new(models), test.images)
-}
-
-/// Fires `concurrency` keep-alive clients, each sending
-/// `requests_per_client` requests round-robin over the pool. Returns the
-/// wall time and every `(pool_index, reply)`.
-fn run_phase(
-    addr: std::net::SocketAddr,
-    pool: &[Vec<f32>],
-    concurrency: usize,
-    requests_per_client: usize,
-    deadline_ms: Option<u64>,
-    no_cache: bool,
-) -> (Duration, Vec<(usize, ClientReply)>) {
-    let started = Instant::now();
-    let workers: Vec<_> = (0..concurrency)
-        .map(|c| {
-            let pool = pool.to_vec();
-            thread::spawn(move || {
-                let mut client = Client::connect(addr).expect("connect to bench server");
-                let mut replies = Vec::with_capacity(requests_per_client);
-                for r in 0..requests_per_client {
-                    let idx = (c + r * 7) % pool.len();
-                    let reply = client
-                        .predict(&pool[idx], deadline_ms, no_cache)
-                        .expect("bench request");
-                    assert_eq!(reply.status, 200, "bench request failed: {}", reply.body);
-                    replies.push((idx, reply));
-                }
-                replies
-            })
-        })
-        .collect();
-    let mut replies = Vec::new();
-    for worker in workers {
-        replies.extend(worker.join().expect("bench client panicked"));
-    }
-    (started.elapsed(), replies)
+/// The served ensemble: three tabular MLPs on 0 %/30 %/50 % mislabelled
+/// labels (the paper's faulty-training-data lever), fully seeded so every
+/// call produces a bit-identical replica.
+fn zoo() -> TrainedEnsemble {
+    trained(ZOO, ZOO_NOISE, 128).0
 }
 
 fn fmt_f(v: f64) -> String {
@@ -153,15 +52,25 @@ fn fmt_f(v: f64) -> String {
 }
 
 fn main() {
-    let scale = LoadScale::from_env();
+    // `REMIX_SCALE=paper` doubles the stream.
+    let (scale_name, scale) = remix_bench::scale::select(
+        LoadScale {
+            concurrency: 8,
+            requests_per_client: 40,
+        },
+        LoadScale {
+            concurrency: 16,
+            requests_per_client: 80,
+        },
+    );
     let total_requests = scale.concurrency * scale.requests_per_client;
     println!(
         "bench_serve [{}]: {} clients x {} requests",
-        scale.name, scale.concurrency, scale.requests_per_client
+        scale_name, scale.concurrency, scale.requests_per_client
     );
 
-    let (_, test_images) = trained_ensemble();
-    let (mut local, _) = trained_ensemble();
+    let (mut local, _, test) = trained(ZOO, ZOO_NOISE, 128);
+    let test_images = test.images;
 
     // Pool: disagreement inputs only — they pay the XAI cost that batching
     // amortizes. Reference fragments come from the local replica.
@@ -231,10 +140,10 @@ fn main() {
     // Both servers stay up for all rounds and the rounds interleave
     // (serial, batched, serial, ...), so host-speed drift during the run
     // hits both sides of the gated ratio equally.
-    let (ensemble, _) = trained_ensemble();
+    let ensemble = zoo();
     let serial_server =
         Server::start(ensemble, remix(), serial_config).expect("start serial server");
-    let (ensemble, _) = trained_ensemble();
+    let ensemble = zoo();
     let batched_server =
         Server::start(ensemble, remix(), batched_config).expect("start batched server");
     for _ in 0..ROUNDS {
@@ -245,7 +154,8 @@ fn main() {
             scale.requests_per_client,
             long_deadline,
             true,
-        );
+        )
+        .all_ok();
         serial_identical &= identical(&replies);
         serial_wall += wall;
 
@@ -256,7 +166,8 @@ fn main() {
             scale.requests_per_client,
             long_deadline,
             true,
-        );
+        )
+        .all_ok();
         batched_identical &= identical(&replies);
         batched_wall += wall;
     }
@@ -283,7 +194,7 @@ fn main() {
 
     // Phase 3: verdict cache — batching plus a warm cache over the same
     // pool; most requests are repeats, so most replies are replays.
-    let (ensemble, _) = trained_ensemble();
+    let ensemble = zoo();
     let cache_config = ServeConfig {
         max_batch: 16,
         batch_window: Duration::from_micros(500),
@@ -299,7 +210,8 @@ fn main() {
         scale.requests_per_client,
         long_deadline,
         false,
-    );
+    )
+    .all_ok();
     let cache_identical = identical(&cache_replies);
     let cache_hits = server.stats().cache_hits;
     drop(server);
@@ -314,7 +226,7 @@ fn main() {
     // Phase 4: deadline degradation — a zero deadline forces every
     // disagreement onto the majority-vote fallback, which must be
     // deterministic (byte-identical to the locally computed fallback).
-    let (ensemble, _) = trained_ensemble();
+    let ensemble = zoo();
     let degraded_config = ServeConfig {
         shards: 1,
         ..ServeConfig::default()
@@ -328,7 +240,8 @@ fn main() {
         degraded_count,
         Some(0),
         true,
-    );
+    )
+    .all_ok();
     let degraded_deterministic = degraded_replies
         .iter()
         .all(|(idx, r)| r.degraded && r.verdict_json == degraded_fragments[*idx]);
@@ -356,7 +269,7 @@ fn main() {
         queue_capacity: 4096,
         ..ServeConfig::default()
     };
-    let (ensemble, _) = trained_ensemble();
+    let ensemble = zoo();
     let one_server = Server::start(
         ensemble,
         remix(),
@@ -366,7 +279,7 @@ fn main() {
         },
     )
     .expect("start 1-shard server");
-    let (ensemble, _) = trained_ensemble();
+    let ensemble = zoo();
     let n_server = Server::start(
         ensemble,
         remix(),
@@ -387,7 +300,8 @@ fn main() {
             scale.requests_per_client,
             long_deadline,
             true,
-        );
+        )
+        .all_ok();
         shard_verdicts_identical &= identical(&replies);
         one_wall += wall;
 
@@ -398,7 +312,8 @@ fn main() {
             scale.requests_per_client,
             long_deadline,
             true,
-        );
+        )
+        .all_ok();
         shard_verdicts_identical &= identical(&replies);
         n_wall += wall;
     }
@@ -417,7 +332,7 @@ fn main() {
 
     let record = format!(
         "{{\n  \"benchmark\": \"bench_serve\",\n  \"scale\": \"{}\",\n  \"models\": 3,\n  \"pool_inputs\": {},\n  \"concurrency\": {},\n  \"total_requests\": {},\n  \"host_cores\": {host_cores},\n  \"serial\": {{\"wall_secs\": {}, \"rps\": {}}},\n  \"batched\": {{\"wall_secs\": {}, \"rps\": {}, \"mean_batch_occupancy\": {}}},\n  \"speedup_batched_vs_serial\": {},\n  \"cache\": {{\"rps\": {}, \"hits\": {cache_hits}, \"hit_rate\": {}}},\n  \"degraded\": {{\"requests\": {}, \"degraded\": {degraded_total}}},\n  \"shard_scaling\": {{\"shards\": {shard_count}, \"one_shard_wall_secs\": {}, \"n_shard_wall_secs\": {}}},\n  \"speedup_shards_vs_one\": {},\n  \"verdicts_identical\": {verdicts_identical},\n  \"cache_identical\": {cache_identical},\n  \"degraded_deterministic\": {degraded_deterministic},\n  \"shard_verdicts_identical\": {shard_verdicts_identical}\n}}\n",
-        scale.name,
+        scale_name,
         pool.len(),
         scale.concurrency,
         total_requests,

@@ -27,89 +27,31 @@
 //! zero-drop counters, the flip-stall p99, and the churn ratio against the
 //! committed baseline.
 
-use remix_bench::harness::{capture, load_into, remix, trained, MODEL};
+use remix_bench::harness::{
+    capture, load_into, percentile, remix, run_phase, trained, Phase, MODEL, PUBLISHED,
+};
 use remix_nn::InputSpec;
 use remix_registry::Registry;
 use remix_serve::{verdict_fragment, Client, ClientReply, NamedModel, ServeConfig, Server};
 use serde::Value;
 use std::io::Write;
+use std::net::SocketAddr;
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// Load profile; `REMIX_SCALE=paper` doubles the stream.
+/// Load profile: concurrent keep-alive clients, requests per client, and
+/// rounds per phase.
 struct LoadScale {
-    name: &'static str,
     concurrency: usize,
     requests_per_client: usize,
     rounds: usize,
 }
 
-impl LoadScale {
-    fn from_env() -> Self {
-        match std::env::var("REMIX_SCALE").as_deref() {
-            Ok("paper") => LoadScale {
-                name: "paper",
-                concurrency: 8,
-                requests_per_client: 40,
-                rounds: 6,
-            },
-            _ => LoadScale {
-                name: "quick",
-                concurrency: 6,
-                requests_per_client: 20,
-                rounds: 4,
-            },
-        }
-    }
-}
-
-/// One load phase: `concurrency` keep-alive clients, each sending
-/// `requests_per_client` requests round-robin over the pool, all with
-/// `no_cache` so every reply is a fresh computation. Unlike `bench_serve`
-/// this never panics on a bad reply — failures are *the measurement*:
-/// returns `(wall, ok_replies, dropped, errored)` where `dropped` counts
-/// non-200 replies and `errored` counts transport failures.
-#[allow(clippy::type_complexity)]
-fn run_phase(
-    addr: std::net::SocketAddr,
-    pool: &[Vec<f32>],
-    concurrency: usize,
-    requests_per_client: usize,
-) -> (Duration, Vec<(usize, ClientReply)>, u64, u64) {
-    let started = Instant::now();
-    let workers: Vec<_> = (0..concurrency)
-        .map(|c| {
-            let pool = pool.to_vec();
-            thread::spawn(move || {
-                let mut replies = Vec::with_capacity(requests_per_client);
-                let mut dropped = 0u64;
-                let mut errored = 0u64;
-                let mut client = match Client::connect(addr) {
-                    Ok(client) => client,
-                    Err(_) => return (replies, dropped, requests_per_client as u64),
-                };
-                for r in 0..requests_per_client {
-                    let idx = (c + r * 7) % pool.len();
-                    match client.predict(&pool[idx], Some(60_000), true) {
-                        Ok(reply) if reply.status == 200 => replies.push((idx, reply)),
-                        Ok(_) => dropped += 1,
-                        Err(_) => errored += 1,
-                    }
-                }
-                (replies, dropped, errored)
-            })
-        })
-        .collect();
-    let mut replies = Vec::new();
-    let mut dropped = 0u64;
-    let mut errored = 0u64;
-    for worker in workers {
-        let (r, d, e) = worker.join().expect("bench client panicked");
-        replies.extend(r);
-        dropped += d;
-        errored += e;
-    }
-    (started.elapsed(), replies, dropped, errored)
+/// One load phase (see [`run_phase`]) with `no_cache`, so every reply is a
+/// fresh computation. Failures are *the measurement* here: the caller sums
+/// `dropped` (non-200 replies) and `errored` (transport failures).
+fn load(addr: SocketAddr, pool: &[Vec<f32>], concurrency: usize, per_client: usize) -> Phase {
+    run_phase(addr, pool, concurrency, per_client, Some(60_000), true)
 }
 
 /// Issues one swap and returns the server-measured `(prepare_us, flip_us)`.
@@ -136,28 +78,32 @@ fn swap_to(client: &mut Client, version: &str) -> (f64, f64) {
     (field("prepare_us"), field("flip_us"))
 }
 
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
 fn fmt_f(v: f64) -> String {
     format!("{v:.3}")
 }
 
 fn main() {
-    let scale = LoadScale::from_env();
+    // `REMIX_SCALE=paper` doubles the stream.
+    let (scale_name, scale) = remix_bench::scale::select(
+        LoadScale {
+            concurrency: 6,
+            requests_per_client: 20,
+            rounds: 4,
+        },
+        LoadScale {
+            concurrency: 8,
+            requests_per_client: 40,
+            rounds: 6,
+        },
+    );
     println!(
         "bench_swap [{}]: {} clients x {} requests x {} rounds",
-        scale.name, scale.concurrency, scale.requests_per_client, scale.rounds
+        scale_name, scale.concurrency, scale.requests_per_client, scale.rounds
     );
 
     // v1: trained on 30 % mislabelled labels; v2: the re-cleaned retrain.
-    let (mut v1, _, test) = trained(0.3);
-    let (mut v2, _, _) = trained(0.0);
+    let (mut v1, _, test) = trained(PUBLISHED, [0.3; 3], 128);
+    let (mut v2, _, _) = trained(PUBLISHED, [0.0; 3], 128);
     let test_images = test.images;
     let spec = InputSpec {
         channels: 1,
@@ -295,12 +241,11 @@ fn main() {
     let mut steady_wall = Duration::ZERO;
     let mut v1_identical = true;
     for _ in 0..scale.rounds {
-        let (wall, replies, dropped, errored) =
-            run_phase(addr, &pool, scale.concurrency, scale.requests_per_client);
-        v1_identical &= matches_v1(&replies);
-        steady_wall += wall;
-        dropped_requests += dropped;
-        errored_requests += errored;
+        let phase = load(addr, &pool, scale.concurrency, scale.requests_per_client);
+        v1_identical &= matches_v1(&phase.replies);
+        steady_wall += phase.wall;
+        dropped_requests += phase.dropped;
+        errored_requests += phase.errored;
     }
     let phase_requests = (scale.concurrency * scale.requests_per_client * scale.rounds) as f64;
     let steady_rps = phase_requests / steady_wall.as_secs_f64();
@@ -317,10 +262,10 @@ fn main() {
     let mut churn_wall = Duration::ZERO;
     let mut churn_identical = true;
     for _ in 0..scale.rounds {
-        let load = {
+        let churn = {
             let pool = pool.clone();
             let (concurrency, per_client) = (scale.concurrency, scale.requests_per_client);
-            thread::spawn(move || run_phase(addr, &pool, concurrency, per_client))
+            thread::spawn(move || load(addr, &pool, concurrency, per_client))
         };
         let (p, f) = swap_to(&mut control, "2.0.0");
         prepare_us.push(p);
@@ -328,11 +273,11 @@ fn main() {
         let (p, f) = swap_to(&mut control, "1.0.0");
         prepare_us.push(p);
         flip_us.push(f);
-        let (wall, replies, dropped, errored) = load.join().expect("churn load panicked");
-        churn_identical &= matches_either(&replies);
-        churn_wall += wall;
-        dropped_requests += dropped;
-        errored_requests += errored;
+        let phase = churn.join().expect("churn load panicked");
+        churn_identical &= matches_either(&phase.replies);
+        churn_wall += phase.wall;
+        dropped_requests += phase.dropped;
+        errored_requests += phase.errored;
     }
     let churn_rps = phase_requests / churn_wall.as_secs_f64();
     let speedup_churn_vs_steady = churn_rps / steady_rps;
@@ -347,18 +292,19 @@ fn main() {
     let (p, f) = swap_to(&mut control, "2.0.0");
     prepare_us.push(p);
     flip_us.push(f);
-    let (_, replies, dropped, errored) = run_phase(
+    let phase = load(
         addr,
         &pool,
         scale.concurrency.min(4),
         scale.requests_per_client,
     );
-    let v2_identical = !replies.is_empty()
-        && replies
+    let v2_identical = !phase.replies.is_empty()
+        && phase
+            .replies
             .iter()
             .all(|(idx, r)| !r.degraded && r.verdict_json == ref_v2[*idx]);
-    dropped_requests += dropped;
-    errored_requests += errored;
+    dropped_requests += phase.dropped;
+    errored_requests += phase.errored;
     println!("post-swap v2 byte-identical: {v2_identical}");
 
     prepare_us.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
@@ -376,7 +322,7 @@ fn main() {
     let host_cores = remix_parallel::num_threads();
     let record = format!(
         "{{\n  \"benchmark\": \"bench_swap\",\n  \"scale\": \"{}\",\n  \"model\": \"{MODEL}\",\n  \"pool_inputs\": {},\n  \"concurrency\": {},\n  \"rounds\": {},\n  \"requests_per_phase\": {},\n  \"host_cores\": {host_cores},\n  \"swaps\": {swaps},\n  \"steady\": {{\"wall_secs\": {}, \"rps\": {}}},\n  \"churn\": {{\"wall_secs\": {}, \"rps\": {}}},\n  \"speedup_churn_vs_steady\": {},\n  \"swap_prepare_p50_us\": {},\n  \"swap_prepare_p99_us\": {},\n  \"swap_flip_p50_us\": {},\n  \"swap_flip_p99_us\": {},\n  \"dropped_requests\": {dropped_requests},\n  \"errored_requests\": {errored_requests},\n  \"noop_identical\": {noop_identical},\n  \"v1_identical\": {v1_identical},\n  \"v2_identical\": {v2_identical},\n  \"churn_identical\": {churn_identical},\n  \"cache_generation_isolated\": {cache_generation_isolated}\n}}\n",
-        scale.name,
+        scale_name,
         pool.len(),
         scale.concurrency,
         scale.rounds,

@@ -29,94 +29,18 @@
 //!
 //! Writes `results/bench_xai_sched.json`.
 
-use rand::{rngs::StdRng, SeedableRng};
-use remix_bench::harness::corrupt_labels;
+use remix_bench::harness::{percentile, trained, ZOO, ZOO_NOISE};
 use remix_core::{Remix, TriageScheduler};
-use remix_data::SyntheticSpec;
 use remix_ensemble::{Prediction, TrainedEnsemble};
-use remix_nn::layers::{Dense, Flatten, Relu};
-use remix_nn::{InputSpec, Model, Sequential, Trainer, TrainerConfig};
 use remix_serve::verdict_fragment;
 use remix_tensor::Tensor;
 use remix_xai::XaiLevel;
 use std::io::Write;
 use std::time::Instant;
 
-/// Workload size; `REMIX_SCALE=paper` doubles the stream.
-struct LoadScale {
-    name: &'static str,
-    test_size: usize,
-}
-
-impl LoadScale {
-    fn from_env() -> Self {
-        match std::env::var("REMIX_SCALE").as_deref() {
-            Ok("paper") => LoadScale {
-                name: "paper",
-                test_size: 512,
-            },
-            _ => LoadScale {
-                name: "quick",
-                test_size: 256,
-            },
-        }
-    }
-}
-
 /// Per-request best-of rounds: the tail must reflect the work level, not a
 /// descheduled thread.
 const ROUNDS: usize = 3;
-
-/// Same faulty-training-data zoo as `bench_serve`, but keeping the clean
-/// test labels for the accuracy axis of the Pareto sweep.
-fn trained_ensemble(test_size: usize) -> (TrainedEnsemble, Vec<Tensor>, Vec<usize>, usize) {
-    let (train, test) = SyntheticSpec::tabular_like()
-        .train_size(400)
-        .test_size(test_size)
-        .generate();
-    let spec = InputSpec {
-        channels: 1,
-        size: 4,
-        num_classes: train.num_classes,
-    };
-    let configs: [(&str, &[usize], f32); 3] = [
-        ("MLP-wide", &[128], 0.0),
-        ("MLP-deep", &[96, 64], 0.3),
-        ("MLP-drop", &[96], 0.5),
-    ];
-    let models = configs
-        .iter()
-        .enumerate()
-        .map(|(i, (name, hidden, noise))| {
-            let mut init = StdRng::seed_from_u64(i as u64 + 1);
-            let mut net = Sequential::new();
-            net.push(Flatten::new());
-            let mut dim = spec.channels * spec.size * spec.size;
-            for &h in *hidden {
-                net.push(Dense::new(dim, h, &mut init));
-                net.push(Relu::new());
-                dim = h;
-            }
-            net.push(Dense::new(dim, train.num_classes, &mut init));
-            let mut model = Model::named(net, spec, *name);
-            let labels = corrupt_labels(&train.labels, train.num_classes, *noise, 70 + i as u64);
-            Trainer::new(TrainerConfig {
-                epochs: 8,
-                lr: 0.03,
-                seed: i as u64,
-                ..TrainerConfig::default()
-            })
-            .fit(&mut model, &train.images, &labels);
-            model
-        })
-        .collect();
-    (
-        TrainedEnsemble::new(models),
-        test.images,
-        test.labels,
-        test.num_classes,
-    )
-}
 
 /// A production-weight XAI budget (32 SmoothGrad samples, the regime where
 /// scheduling pays): the ladder's rungs then cost ~1/4/8/32 sweeps per
@@ -162,11 +86,6 @@ fn balanced_accuracy(predictions: &[Prediction], labels: &[usize], num_classes: 
     recall_sum / classes.max(1) as f64
 }
 
-fn percentile_us(sorted_ns: &[u64], q: f64) -> f64 {
-    let idx = ((sorted_ns.len() as f64 - 1.0) * q).round() as usize;
-    sorted_ns[idx] as f64 / 1_000.0
-}
-
 /// One sweep of the stream under one scheduling policy: per-request
 /// best-of-[`ROUNDS`] latency, verdict fragments (for the bit-identity
 /// flag), per-level counts, and predictions (for balanced accuracy).
@@ -208,13 +127,14 @@ fn fmt_f(v: f64) -> String {
 }
 
 fn main() {
-    let scale = LoadScale::from_env();
-    println!(
-        "bench_xai_sched [{}]: {} requests x {} rounds",
-        scale.name, scale.test_size, ROUNDS
-    );
+    // `REMIX_SCALE=paper` doubles the stream.
+    let (scale_name, test_size) = remix_bench::scale::select(256, 512);
+    println!("bench_xai_sched [{scale_name}]: {test_size} requests x {ROUNDS} rounds");
 
-    let (mut ensemble, images, labels, num_classes) = trained_ensemble(scale.test_size);
+    // The faulty-training-data zoo `bench_serve` serves, keeping the clean
+    // test labels for the accuracy axis of the Pareto sweep.
+    let (mut ensemble, _, test) = trained(ZOO, ZOO_NOISE, test_size);
+    let (images, labels, num_classes) = (test.images, test.labels, test.num_classes);
     let plain = remix_with(None);
     let disagreements = images
         .iter()
@@ -274,8 +194,8 @@ fn main() {
         let result = sweep(&remix, &mut ensemble, &images);
         let mut sorted = result.latencies_ns.clone();
         sorted.sort_unstable();
-        let p50 = percentile_us(&sorted, 0.50);
-        let p99 = percentile_us(&sorted, 0.99);
+        let p50 = percentile(&sorted, 0.50) as f64 / 1_000.0;
+        let p99 = percentile(&sorted, 0.99) as f64 / 1_000.0;
         let ba = balanced_accuracy(&result.predictions, &labels, num_classes);
         let units = match name {
             "adaptive" => None,
@@ -317,10 +237,7 @@ fn main() {
     // Bit-identity: the Full-pinned rung must reproduce the scheduler-less
     // pipeline byte-for-byte (fragments carry `xai_level`, which is `full`
     // on both sides for disagreements and `skip` on both for unanimity).
-    let mut local = {
-        let (ensemble, _, _, _) = trained_ensemble(scale.test_size);
-        ensemble
-    };
+    let (mut local, _, _) = trained(ZOO, ZOO_NOISE, test_size);
     let full_pinned_identical = images
         .iter()
         .zip(&full_fragments)
@@ -336,7 +253,7 @@ fn main() {
 
     let record = format!(
         "{{\n  \"benchmark\": \"bench_xai_sched\",\n  \"scale\": \"{}\",\n  \"models\": 3,\n  \"requests\": {},\n  \"rounds\": {ROUNDS},\n  \"num_classes\": {num_classes},\n  \"disagreements\": {disagreements},\n  \"ladder\": [\n{}\n  ],\n  \"adaptive_levels\": {{\"skip\": {}, \"light\": {}, \"standard\": {}, \"full\": {}}},\n  \"balanced_accuracy_full\": {},\n  \"balanced_accuracy_adaptive\": {},\n  \"ba_cost_pts\": {},\n  \"speedup_p99_adaptive_vs_full\": {},\n  \"full_pinned_identical\": {full_pinned_identical}\n}}\n",
-        scale.name,
+        scale_name,
         images.len(),
         rows.join(",\n"),
         adaptive_levels[0],

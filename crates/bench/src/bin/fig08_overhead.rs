@@ -383,10 +383,7 @@ fn write_bench_json(
 ) -> std::io::Result<()> {
     std::fs::create_dir_all("results")?;
     let mut f = std::fs::File::create("results/bench_inference.json")?;
-    let scale = match std::env::var("REMIX_SCALE").as_deref() {
-        Ok("paper") => "paper",
-        _ => "quick",
-    };
+    let scale = remix_bench::scale::select((), ()).0;
     let engine_json = |run: &EngineRun| {
         format!(
             "{{\n      \"batch_size\": {},\n      \"wall_secs\": {:.6},\n      \

@@ -41,10 +41,17 @@ impl Scale {
 
     /// Reads `REMIX_SCALE` (`quick` | `paper`), defaulting to quick.
     pub fn from_env() -> Self {
-        match std::env::var("REMIX_SCALE").as_deref() {
-            Ok("paper") => Self::paper(),
-            _ => Self::quick(),
-        }
+        select(Self::quick(), Self::paper()).1
+    }
+}
+
+/// Reads `REMIX_SCALE` and returns the profile's name with the caller's value
+/// for it: `("paper", paper)` when the variable is `paper`, otherwise
+/// `("quick", quick)`. Each benchmark passes its own sizes for both.
+pub fn select<T>(quick: T, paper: T) -> (&'static str, T) {
+    match std::env::var("REMIX_SCALE").as_deref() {
+        Ok("paper") => ("paper", paper),
+        _ => ("quick", quick),
     }
 }
 

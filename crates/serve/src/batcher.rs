@@ -14,6 +14,7 @@
 //! [`BatchQueue::push`] refuses and the server sheds the request with a 429
 //! instead of letting latency grow without limit.
 
+use crate::reactor::Completions;
 use remix_tensor::Tensor;
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
@@ -67,7 +68,6 @@ impl EngineReply {
 
     /// A raw reply: `body` is served verbatim under `status` (used by
     /// off-loop workers such as the hot-swap coordinator).
-    #[cfg_attr(not(target_os = "linux"), allow(dead_code))]
     pub(crate) fn raw(status: u16, body: String) -> EngineReply {
         EngineReply {
             fragment: Arc::from(body),
@@ -78,62 +78,21 @@ impl EngineReply {
     }
 }
 
-/// How a reply travels back to the waiting connection: a blocking rendezvous
-/// (portable fallback front door, unit tests) or the readiness loop's
+/// How a reply travels back to the waiting connection: the readiness loop's
 /// completion queue (the reply is parked there and the reactor is woken to
 /// write it out).
-pub(crate) enum Responder {
-    /// Blocking rendezvous — the connection thread sleeps in
-    /// [`ReplySlot::wait`].
-    Slot(ReplySlot),
-    /// Nonblocking completion — `token` identifies the connection
-    /// (slab index + generation) inside the reactor.
-    #[cfg(target_os = "linux")]
-    Reactor {
-        /// Connection token the reactor resolves (stale generations are
-        /// dropped when the peer hung up mid-flight).
-        token: u64,
-        /// The reactor's completion queue + waker.
-        completions: Arc<crate::reactor::Completions>,
-    },
+pub(crate) struct Responder {
+    /// Connection token the reactor resolves (slab index + generation;
+    /// stale generations are dropped when the peer hung up mid-flight).
+    pub token: u64,
+    /// The reactor's completion queue + waker.
+    pub completions: Arc<Completions>,
 }
 
 impl Responder {
-    /// Delivers the engine's reply to whoever is waiting.
+    /// Delivers the engine's reply to the waiting connection.
     pub(crate) fn respond(&self, reply: EngineReply) {
-        match self {
-            Responder::Slot(slot) => slot.fulfill(reply),
-            #[cfg(target_os = "linux")]
-            Responder::Reactor { token, completions } => completions.push(*token, reply),
-        }
-    }
-}
-
-/// A one-shot rendezvous for a single reply.
-#[derive(Clone, Default)]
-pub(crate) struct ReplySlot {
-    inner: Arc<(Mutex<Option<EngineReply>>, Condvar)>,
-}
-
-impl ReplySlot {
-    pub(crate) fn fulfill(&self, reply: EngineReply) {
-        let (lock, cv) = &*self.inner;
-        *lock.lock().unwrap_or_else(|e| e.into_inner()) = Some(reply);
-        cv.notify_all();
-    }
-
-    /// Blocks until the engine replies. The engine replies to every request
-    /// it pops and the queue rejects pushes after close, so this cannot wait
-    /// on an abandoned slot.
-    pub(crate) fn wait(&self) -> EngineReply {
-        let (lock, cv) = &*self.inner;
-        let mut guard = lock.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if let Some(reply) = guard.take() {
-                return reply;
-            }
-            guard = cv.wait(guard).unwrap_or_else(|e| e.into_inner());
-        }
+        self.completions.push(self.token, reply);
     }
 }
 
@@ -262,7 +221,10 @@ mod tests {
             deadline: Instant::now() + Duration::from_secs(1),
             no_cache: false,
             arrived: Instant::now(),
-            reply: Responder::Slot(ReplySlot::default()),
+            reply: Responder {
+                token: 0,
+                completions: Arc::new(Completions::pair().expect("socket pair").0),
+            },
         }
     }
 
@@ -338,18 +300,5 @@ mod tests {
         thread::sleep(Duration::from_millis(30));
         queue.push(request()).unwrap();
         assert_eq!(engine.join().unwrap(), Some(1));
-    }
-
-    #[test]
-    fn reply_slot_delivers_across_threads() {
-        let slot = ReplySlot::default();
-        let waiter = {
-            let slot = slot.clone();
-            thread::spawn(move || slot.wait())
-        };
-        slot.fulfill(EngineReply::verdict(Arc::from("{}"), true, false));
-        let reply = waiter.join().unwrap();
-        assert_eq!(&*reply.fragment, "{}");
-        assert!(reply.degraded);
     }
 }

@@ -8,10 +8,8 @@
 //! target group nudges the off-request-path swap coordinator through a
 //! channel; the serving path never blocks on it.
 
-use crate::server::ServeStats;
 use remix_core::Answer;
 use remix_drift::{DriftAlert, DriftDetector, DriftFeature, VerdictFeatures};
-use remix_trace::Counter;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 
@@ -66,7 +64,8 @@ impl DriftAction {
 pub(crate) struct DriftStatus {
     /// Verdicts folded since the last reset.
     pub verdicts: AtomicU64,
-    /// Alerts raised since startup (never reset).
+    /// Alerts raised since startup (never reset); `/stats`' `drift_alerts`
+    /// is the sum of these over every shard.
     pub alerts: AtomicU64,
     /// Currently-latched feature id, 0 when not tripped.
     pub tripped: AtomicU32,
@@ -120,8 +119,6 @@ pub(crate) struct DriftTrigger {
 pub(crate) struct EngineDrift {
     pub detector: DriftDetector,
     pub status: Arc<DriftStatus>,
-    /// This shard's always-on counters (`drift_alerts` feeds `/stats`).
-    pub stats: Arc<ServeStats>,
     pub trigger: Option<DriftTrigger>,
 }
 
@@ -130,10 +127,7 @@ impl EngineDrift {
     /// after the verdict has been formed and delivered — the detector is
     /// strictly passive and cannot influence the reply bytes.
     pub(crate) fn fold(&mut self, features: &VerdictFeatures) {
-        remix_trace::incr(Counter::ServeDriftVerdicts);
         if let Some(alert) = self.detector.observe(features) {
-            remix_trace::incr(Counter::ServeDriftAlerts);
-            self.stats.drift_alerts.fetch_add(1, Ordering::Relaxed);
             self.status.publish_trip(&alert);
             if let Some(trigger) = &self.trigger {
                 // The coordinator may already be gone during shutdown; a

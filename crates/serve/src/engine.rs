@@ -23,7 +23,6 @@ use crate::protocol;
 use crate::server::ServeStats;
 use remix_core::{Query, Remix};
 use remix_ensemble::TrainedEnsemble;
-use remix_trace::Counter;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -126,7 +125,6 @@ impl Engine {
     fn process(&mut self, batch: Vec<PendingRequest>) {
         let _span = remix_trace::span("serve_batch");
         self.stats.bump_batch(batch.len());
-        remix_trace::incr(Counter::ServeBatches);
         let queries: Vec<Query> = batch
             .iter()
             .map(|request| Query {
@@ -145,15 +143,14 @@ impl Engine {
                     let request = &batch[k];
                     let verdict = &answer.verdict;
                     let fragment: Arc<str> = if answer.degraded {
-                        stats.bump_degraded();
-                        remix_trace::incr(Counter::ServeDegraded);
+                        stats.degraded.fetch_add(1, Ordering::Relaxed);
                         protocol::degraded_fragment(&verdict.prediction).into()
                     } else {
                         stats.bump_level(verdict.xai_level);
                         protocol::verdict_fragment(verdict).into()
                     };
                     if answer.downgraded {
-                        stats.bump_downgraded();
+                        stats.downgraded.fetch_add(1, Ordering::Relaxed);
                     }
                     // Degraded and downgraded verdicts depend on load, not
                     // only on the input, so they are never cached. The key

@@ -1,10 +1,8 @@
 //! A minimal HTTP/1.1 subset — just enough for a JSON prediction API.
 //!
-//! The core is an *incremental* parser ([`try_parse_request`]) that works on
-//! a plain byte buffer: the nonblocking readiness loop feeds it straight
-//! from per-connection buffers, and the blocking [`read_request`] wrapper
-//! (unit tests, portable fallback front door) drives the same code over a
-//! `BufRead`, so both transports share one set of framing rules.
+//! The parser ([`try_parse_request`]) is *incremental* and works on a plain
+//! byte buffer: the nonblocking readiness loop feeds it straight from
+//! per-connection buffers and calls it again as more bytes arrive.
 //!
 //! Supported request shapes: a request line, `Name: value` headers, an
 //! optional `Content-Length` body, and persistent (keep-alive) connections.
@@ -14,7 +12,7 @@
 //! request-smuggling vector even in a toy subset — and the line-length cap
 //! applies whether or not the terminator has arrived yet.
 
-use std::io::{self, BufRead, Write};
+use std::io;
 
 /// Longest accepted request line or header line, in bytes.
 const MAX_LINE: usize = 8 * 1024;
@@ -110,46 +108,6 @@ pub fn try_parse_request(buf: &[u8]) -> io::Result<Option<(HttpRequest, usize)>>
     Err(bad_request("too many headers"))
 }
 
-/// Reads one request from a blocking connection (a thin loop over
-/// [`try_parse_request`]).
-///
-/// Returns `Ok(None)` on a clean end-of-stream before any request byte — the
-/// peer closed an idle keep-alive connection, which is not an error.
-///
-/// # Errors
-///
-/// Returns an error for malformed/oversized requests (see
-/// [`try_parse_request`]) or I/O failures mid-request.
-pub fn read_request(reader: &mut impl BufRead) -> io::Result<Option<HttpRequest>> {
-    let mut buf: Vec<u8> = Vec::new();
-    loop {
-        let prev = buf.len();
-        let available = reader.fill_buf()?;
-        if available.is_empty() {
-            if prev == 0 {
-                return Ok(None);
-            }
-            return Err(bad_request("eof mid-request"));
-        }
-        let chunk = available.len();
-        buf.extend_from_slice(available);
-        match try_parse_request(&buf) {
-            Ok(Some((request, consumed))) => {
-                // The request was incomplete at `prev` bytes, so its end lies
-                // inside this chunk: consume only the part it used, leaving
-                // pipelined follow-ups buffered in the reader.
-                reader.consume(consumed - prev);
-                return Ok(Some(request));
-            }
-            Ok(None) => reader.consume(chunk),
-            Err(e) => {
-                reader.consume(chunk);
-                return Err(e);
-            }
-        }
-    }
-}
-
 /// Renders one `application/json` response. `close` echoes the client's
 /// `Connection: close` (the server drops the socket right after writing);
 /// otherwise the response advertises `keep-alive`.
@@ -170,21 +128,6 @@ pub fn render_response(status: u16, body: &str, close: bool) -> Vec<u8> {
         body.len()
     )
     .into_bytes()
-}
-
-/// Writes one rendered response (see [`render_response`]) and flushes.
-///
-/// # Errors
-///
-/// Propagates stream write failures.
-pub fn write_response(
-    writer: &mut impl Write,
-    status: u16,
-    body: &str,
-    close: bool,
-) -> io::Result<()> {
-    writer.write_all(&render_response(status, body, close))?;
-    writer.flush()
 }
 
 /// Maps a request-parse error to its response status: an oversized body is
@@ -236,26 +179,24 @@ fn bad_request(reason: &str) -> io::Error {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufReader;
 
     fn parse(text: &str) -> io::Result<Option<HttpRequest>> {
-        read_request(&mut BufReader::new(text.as_bytes()))
+        Ok(try_parse_request(text.as_bytes())?.map(|(request, _)| request))
     }
 
     #[test]
     fn parses_post_with_body_and_keepalive_followup() {
-        let wire = "POST /predict HTTP/1.1\r\nHost: x\r\nContent-Length: 4\r\n\r\nabcdGET /healthz HTTP/1.1\r\n\r\n";
-        let mut reader = BufReader::new(wire.as_bytes());
-        let first = read_request(&mut reader).unwrap().unwrap();
+        let wire = b"POST /predict HTTP/1.1\r\nHost: x\r\nContent-Length: 4\r\n\r\nabcdGET /healthz HTTP/1.1\r\n\r\n";
+        let (first, consumed) = try_parse_request(wire).unwrap().unwrap();
         assert_eq!(first.method, "POST");
         assert_eq!(first.path, "/predict");
         assert_eq!(first.body, b"abcd");
         assert!(!first.close);
-        let second = read_request(&mut reader).unwrap().unwrap();
+        let (second, second_len) = try_parse_request(&wire[consumed..]).unwrap().unwrap();
         assert_eq!(second.method, "GET");
         assert_eq!(second.path, "/healthz");
         assert!(second.body.is_empty());
-        assert!(read_request(&mut reader).unwrap().is_none());
+        assert_eq!(consumed + second_len, wire.len());
     }
 
     #[test]
@@ -281,13 +222,6 @@ mod tests {
     }
 
     #[test]
-    fn clean_eof_is_none_but_truncation_is_an_error() {
-        assert!(parse("").unwrap().is_none());
-        assert!(parse("POST /p HTTP/1.1\r\nContent-Length: 9\r\n\r\nabc").is_err());
-        assert!(parse("POST /p HTTP/1.1\r\nContent-Len").is_err());
-    }
-
-    #[test]
     fn rejects_unsupported_framing_and_bad_requests() {
         assert!(parse("POST /p HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n").is_err());
         assert!(parse("GARBAGE\r\n\r\n").is_err());
@@ -301,13 +235,9 @@ mod tests {
         // same buffered chunk was accepted at any length. Build a single
         // chunk holding a complete over-long request line.
         let wire = format!("GET /{} HTTP/1.1\r\n\r\n", "a".repeat(MAX_LINE + 16));
-        // A reader whose buffer holds the whole request, so the terminator
-        // is inside the very first chunk — the exact bypass shape.
-        let mut reader = BufReader::with_capacity(wire.len(), wire.as_bytes());
-        let err = read_request(&mut reader).unwrap_err();
+        let err = parse(&wire).unwrap_err();
         assert_eq!(err.to_string(), "line too long");
-        // The incremental core rejects it too, terminator present or not.
-        assert!(try_parse_request(wire.as_bytes()).is_err());
+        // Rejected whether or not the terminator has arrived.
         assert!(try_parse_request(&wire.as_bytes()[..MAX_LINE + 8]).is_err());
         // At the cap exactly is still fine.
         let ok = format!("GET /{} HTTP/1.1\r\n\r\n", "a".repeat(MAX_LINE - 32));
@@ -339,8 +269,7 @@ mod tests {
 
     #[test]
     fn response_is_fully_framed() {
-        let mut out = Vec::new();
-        write_response(&mut out, 429, "{\"error\":\"overloaded\"}", false).unwrap();
+        let out = render_response(429, "{\"error\":\"overloaded\"}", false);
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 429 Too Many Requests\r\n"));
         assert!(text.contains("Content-Length: 22\r\n"));

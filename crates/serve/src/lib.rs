@@ -1,9 +1,9 @@
 //! `remix-serve` — a deadline-aware inference service for trained ReMIX
 //! ensembles.
 //!
-//! A zero-dependency TCP/HTTP-lite server (see `remix serve`): on Linux the
-//! front door is a nonblocking epoll readiness loop (raw-syscall shims, no
-//! `libc` crate) so keep-alive connections cost no threads, and the backend
+//! A zero-dependency, Linux-only TCP/HTTP-lite server (see `remix serve`):
+//! the front door is a nonblocking epoll readiness loop (raw-syscall shims,
+//! no `libc` crate) so keep-alive connections cost no threads, and the backend
 //! is sharded into N engine workers (default = available parallelism), each
 //! owning a [`TrainedEnsemble`](remix_ensemble::TrainedEnsemble) replica and
 //! a shard-local slice of the verdict cache, with requests routed by
@@ -21,10 +21,10 @@
 //!   disagreement falls back from ReMIX weighting to plain majority vote,
 //!   tagged `"degraded":true` on the wire; plus a bounded queue that sheds
 //!   excess load with `429` instead of queueing without bound.
-//! * **Telemetry** — per-request/per-batch `remix-trace` spans, serve
-//!   counters, queue-depth and batch-occupancy histograms, and per-verdict
-//!   latency histograms, all inert unless tracing is enabled; `/stats`
-//!   serves always-on counters.
+//! * **Telemetry** — per-request/per-batch `remix-trace` spans,
+//!   queue-depth and batch-occupancy histograms, and per-verdict latency
+//!   histograms, all inert unless tracing is enabled; `/stats` serves the
+//!   always-on counters, the only count of each serving event.
 //! * **Streaming drift detection** (DESIGN.md §6k) — with
 //!   [`ServeConfig::drift`] set, every shard folds per-verdict features
 //!   (disagreement, margin, entropy, ω spread, XAI mix, degraded/downgraded
@@ -63,6 +63,11 @@
 
 #![warn(missing_docs)]
 
+// The front door is an epoll loop over raw syscalls (`sys.rs`, Linux
+// x86_64/aarch64).
+#[cfg(not(target_os = "linux"))]
+compile_error!("remix-serve supports Linux only: its front door is an epoll readiness loop");
+
 mod batcher;
 pub mod cache;
 pub mod client;
@@ -70,10 +75,8 @@ mod drift;
 mod engine;
 pub mod http;
 pub mod protocol;
-#[cfg(target_os = "linux")]
 mod reactor;
 mod server;
-#[cfg(target_os = "linux")]
 mod sys;
 
 pub use cache::{content_key, generation_key, VerdictCache};

@@ -17,6 +17,11 @@ use remix_xai::XaiLevel;
 use serde::Value;
 use std::fmt::Write as _;
 
+/// Longest `deadline_ms` a request may carry: one hour. A larger value
+/// (up to `1e300`, which saturates to `u64::MAX` ms) would silently mean
+/// "never degrade".
+const MAX_DEADLINE_MS: f64 = 3_600_000.0;
+
 /// One parsed `/predict` request body.
 #[derive(Debug, Clone)]
 pub struct PredictRequest {
@@ -24,7 +29,7 @@ pub struct PredictRequest {
     pub image: Vec<f32>,
     /// Per-request deadline override in milliseconds. `Some(0)` forces the
     /// degraded path for any disagreement (used to test the fallback);
-    /// `None` uses the server default.
+    /// `None` uses the server default. At most one hour.
     pub deadline_ms: Option<u64>,
     /// Skip the verdict cache for this request (both lookup and insert).
     pub no_cache: bool,
@@ -38,8 +43,8 @@ pub struct PredictRequest {
 /// # Errors
 ///
 /// Returns a human-readable message for malformed JSON, a missing
-/// `image` array or one with an entry that is not a finite f32, or wrong
-/// field types.
+/// `image` array or one with an entry that is not a finite f32, a
+/// `deadline_ms` outside 0..=3600000, or wrong field types.
 pub fn parse_predict(body: &[u8]) -> Result<PredictRequest, String> {
     let text = std::str::from_utf8(body).map_err(|_| "body is not utf-8".to_string())?;
     let value: Value = serde_json::from_str(text).map_err(|e| format!("invalid json: {e:?}"))?;
@@ -59,9 +64,10 @@ pub fn parse_predict(body: &[u8]) -> Result<PredictRequest, String> {
         None | Some(Value::Null) => None,
         Some(v) => Some(
             num(v)
-                .filter(|f| *f >= 0.0)
-                .ok_or_else(|| "`deadline_ms` must be a non-negative number".to_string())?
-                as u64,
+                .filter(|f| (0.0..=MAX_DEADLINE_MS).contains(f))
+                .ok_or_else(|| {
+                    "`deadline_ms` must be a number from 0 to 3600000 (one hour)".to_string()
+                })? as u64,
         ),
     };
     let no_cache = match field(pairs, "no_cache") {
@@ -252,6 +258,10 @@ mod tests {
         assert!(parse_predict(br#"{"deadline_ms":5}"#).is_err());
         assert!(parse_predict(br#"{"image":["a"]}"#).is_err());
         assert!(parse_predict(br#"{"image":[1],"deadline_ms":-3}"#).is_err());
+        assert!(parse_predict(br#"{"image":[1],"deadline_ms":3600001}"#).is_err());
+        assert!(parse_predict(br#"{"image":[1],"deadline_ms":1e300}"#).is_err());
+        let hour = parse_predict(br#"{"image":[1],"deadline_ms":3600000}"#).unwrap();
+        assert_eq!(hour.deadline_ms, Some(3_600_000));
         assert!(parse_predict(br#"{"image":[1],"no_cache":1}"#).is_err());
         assert!(parse_predict(br#"{"image":[1],"model":7}"#).is_err());
         // Beyond f32 range: the cast would turn these into ±inf.

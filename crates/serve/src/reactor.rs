@@ -5,7 +5,7 @@
 //! entries, not ten thousand threads. Per connection the loop accumulates
 //! bytes into a read buffer, feeds them to the incremental parser
 //! ([`crate::http::try_parse_request`]), and routes complete requests
-//! through the same [`route`]/[`enqueue`] path as the blocking fallback.
+//! through [`route`]/[`enqueue`].
 //!
 //! **Engine handoff.** A `/predict` that reaches an engine shard parks the
 //! connection: its token (slab index + generation, so a stale completion
@@ -13,7 +13,7 @@
 //! engine thread pushes the reply onto the [`Completions`] queue, writing
 //! one byte to the waker pipe to make epoll return. While parked, the
 //! connection's `EPOLLIN` interest is dropped — requests on one connection
-//! are strictly sequential (matching HTTP/1.1 and the blocking front door),
+//! are strictly sequential (matching HTTP/1.1),
 //! and a flooding client is back-pressured by its own unread socket instead
 //! of growing a server-side buffer.
 //!
@@ -412,7 +412,7 @@ impl Reactor {
                         }
                         Routed::Predict(prepared) => {
                             let started = prepared.started;
-                            let responder = Responder::Reactor {
+                            let responder = Responder {
                                 token: token_for(index, *generation),
                                 completions: Arc::clone(&self.completions),
                             };

@@ -1,5 +1,5 @@
 //! The serving tier: configuration, the sharded engine backend, the model
-//! registry wiring, stats aggregation, and the portable blocking front door.
+//! registry wiring, and stats aggregation.
 //!
 //! The server hosts one or more **named model groups** (see [`NamedModel`]),
 //! each a full sharded backend: N engine workers per group (default =
@@ -25,27 +25,24 @@
 //! unreachable after a swap rather than flushed — swapping back re-hits the
 //! old generation's surviving entries.
 //!
-//! The front door is a nonblocking epoll readiness loop on Linux (see
-//! [`crate::reactor`]); keep-alive connections cost a slab entry, not a
-//! thread. Other platforms fall back to the thread-per-connection loop in
-//! this module, which drives the exact same [`route`]/[`enqueue`] path, so
-//! the two front doors cannot drift apart behaviorally.
+//! The front door is a nonblocking epoll readiness loop (see
+//! [`crate::reactor`]) that drives [`route`]/[`enqueue`]; keep-alive
+//! connections cost a slab entry, not a thread.
 
-use crate::batcher::{BatchQueue, EngineReply, PendingRequest, PushError, ReplySlot, Responder};
+use crate::batcher::{BatchQueue, EngineReply, PendingRequest, PushError, Responder};
 use crate::cache::{content_key, generation_key, VerdictCache};
 use crate::drift::{DriftAction, DriftStatus, DriftTrigger, EngineDrift};
 use crate::engine::{Engine, PendingSwap, SwapSlot};
-use crate::http::{error_status, read_request, write_response, HttpRequest};
+use crate::http::HttpRequest;
 use crate::protocol;
 use remix_core::Remix;
 use remix_drift::{DriftConfig, DriftDetector, DriftFeature};
 use remix_ensemble::TrainedEnsemble;
 use remix_registry::{Registry, RegistryError};
 use remix_tensor::Tensor;
-use remix_trace::Counter;
 use remix_xai::XaiLevel;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::{self, JoinHandle};
@@ -166,9 +163,6 @@ pub struct ServeStats {
     /// Requests served below their scheduler-assigned level because the
     /// batch's XAI bill exceeded the latency budget.
     pub downgraded: AtomicU64,
-    /// Drift alerts raised by this shard's streaming detector (zero when
-    /// drift detection is disabled).
-    pub drift_alerts: AtomicU64,
 }
 
 impl ServeStats {
@@ -176,10 +170,6 @@ impl ServeStats {
         self.batches.fetch_add(1, Ordering::Relaxed);
         self.batched_requests
             .fetch_add(occupancy as u64, Ordering::Relaxed);
-    }
-
-    pub(crate) fn bump_degraded(&self) {
-        self.degraded.fetch_add(1, Ordering::Relaxed);
     }
 
     pub(crate) fn bump_level(&self, level: XaiLevel) {
@@ -190,10 +180,6 @@ impl ServeStats {
             XaiLevel::Full => &self.xai_full,
         };
         counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn bump_downgraded(&self) {
-        self.downgraded.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -345,7 +331,7 @@ impl ModelGroup {
     }
 }
 
-/// State both front doors and all connection handlers share.
+/// State the reactor, the swap workers and the drift coordinator share.
 pub(crate) struct Shared {
     pub groups: Vec<ModelGroup>,
     pub stopping: AtomicBool,
@@ -387,7 +373,9 @@ impl Shared {
                 sum.xai_standard += shard.stats.xai_standard.load(Ordering::Relaxed);
                 sum.xai_full += shard.stats.xai_full.load(Ordering::Relaxed);
                 sum.downgraded += shard.stats.downgraded.load(Ordering::Relaxed);
-                sum.drift_alerts += shard.stats.drift_alerts.load(Ordering::Relaxed);
+                if let Some(drift) = &shard.drift {
+                    sum.drift_alerts += drift.alerts.load(Ordering::Relaxed);
+                }
                 sum.cached_verdicts += shard.cache.len() as u64;
             }
             sum.drift_swaps += group
@@ -517,15 +505,14 @@ impl Shared {
 }
 
 /// Where [`route`] sent a request: answered on the spot, prepared for an
-/// engine shard (the caller picks how to wait — blocking slot or reactor
-/// completion), or a hot-swap to run off the connection path.
+/// engine shard, or a hot-swap to run off the reactor thread.
 pub(crate) enum Routed {
     /// Status + body, ready to write.
     Immediate(u16, String),
     /// A `/predict` that missed the cache; push via [`enqueue`].
     Predict(PreparedPredict),
     /// A validated `/models/<name>/swap`; run [`perform_swap`] off the
-    /// reactor thread (the blocking front door runs it inline).
+    /// reactor thread.
     Swap(PreparedSwap),
 }
 
@@ -627,7 +614,6 @@ fn prepare_predict(body: &[u8], shared: &Shared) -> Routed {
     let shard_index = group.shard_of(key);
     let shard = &group.shards[shard_index];
     shard.stats.requests.fetch_add(1, Ordering::Relaxed);
-    remix_trace::incr(Counter::ServeRequests);
     if shard.cache.enabled() && !request.no_cache {
         // Look up under the group's *published* generation: entries written
         // by a not-yet-swapped-out engine stay invisible the instant the
@@ -635,7 +621,6 @@ fn prepare_predict(body: &[u8], shared: &Shared) -> Routed {
         let lookup = generation_key(key, group.active_hash.load(Ordering::Acquire));
         if let Some(fragment) = shard.cache.get(lookup, &request.image) {
             shard.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-            remix_trace::incr(Counter::ServeCacheHits);
             let latency = started.elapsed();
             remix_trace::record_duration("serve_verdict_cached", latency);
             return Routed::Immediate(
@@ -644,7 +629,6 @@ fn prepare_predict(body: &[u8], shared: &Shared) -> Routed {
             );
         }
         shard.stats.cache_misses.fetch_add(1, Ordering::Relaxed);
-        remix_trace::incr(Counter::ServeCacheMisses);
     }
     let deadline = started
         + request
@@ -684,7 +668,6 @@ pub(crate) fn enqueue(
         Ok(()) => Ok(()),
         Err(PushError::Shed) => {
             shard.stats.shed.fetch_add(1, Ordering::Relaxed);
-            remix_trace::incr(Counter::ServeShed);
             Err((429, protocol::error_body("overloaded: queue full")))
         }
         Err(PushError::Closed) => Err((503, protocol::error_body("server is shutting down"))),
@@ -694,9 +677,9 @@ pub(crate) fn enqueue(
 /// Executes a validated hot-swap: loads and integrity-verifies the artifact,
 /// applies it to the group's template, freezes one replica per shard
 /// off-path, then deposits the replicas and flips the published hash. Runs
-/// on a worker thread (reactor front door) or the connection thread
-/// (blocking front door) — never on the reactor loop, because artifact load
-/// + freeze can take tens of milliseconds.
+/// on a worker thread (a swap request) or the drift coordinator — never on
+/// the reactor loop, because artifact load + freeze can take tens of
+/// milliseconds.
 ///
 /// Holding the group's template lock across the whole operation serializes
 /// concurrent swaps of the same group.
@@ -806,7 +789,6 @@ pub struct Server {
     shared: Arc<Shared>,
     front_thread: Option<JoinHandle<()>>,
     engine_threads: Vec<JoinHandle<()>>,
-    #[cfg(target_os = "linux")]
     completions: Arc<crate::reactor::Completions>,
 }
 
@@ -933,7 +915,6 @@ impl Server {
                 let engine_drift = config.drift.map(|drift_config| EngineDrift {
                     detector: DriftDetector::new(drift_config),
                     status: Arc::clone(drift_status.as_ref().expect("built together")),
-                    stats: Arc::clone(&stats),
                     trigger: drift_channel.as_ref().map(|(tx, _)| DriftTrigger {
                         group: group_index,
                         sender: tx.clone(),
@@ -1035,38 +1016,22 @@ impl Server {
             );
         }
 
-        #[cfg(target_os = "linux")]
-        {
-            let (completions, waker_rx) = crate::reactor::Completions::pair()?;
-            let completions = Arc::new(completions);
-            let front_shared = Arc::clone(&shared);
-            let front_completions = Arc::clone(&completions);
-            let front_thread = thread::Builder::new()
-                .name("remix-serve-reactor".into())
-                .spawn(move || {
-                    crate::reactor::run(listener, front_shared, front_completions, waker_rx)
-                })?;
-            Ok(Server {
-                addr,
-                shared,
-                front_thread: Some(front_thread),
-                engine_threads,
-                completions,
-            })
-        }
-        #[cfg(not(target_os = "linux"))]
-        {
-            let front_shared = Arc::clone(&shared);
-            let front_thread = thread::Builder::new()
-                .name("remix-serve-accept".into())
-                .spawn(move || accept_loop(&listener, &front_shared))?;
-            Ok(Server {
-                addr,
-                shared,
-                front_thread: Some(front_thread),
-                engine_threads,
-            })
-        }
+        let (completions, waker_rx) = crate::reactor::Completions::pair()?;
+        let completions = Arc::new(completions);
+        let front_shared = Arc::clone(&shared);
+        let front_completions = Arc::clone(&completions);
+        let front_thread = thread::Builder::new()
+            .name("remix-serve-reactor".into())
+            .spawn(move || {
+                crate::reactor::run(listener, front_shared, front_completions, waker_rx)
+            })?;
+        Ok(Server {
+            addr,
+            shared,
+            front_thread: Some(front_thread),
+            engine_threads,
+            completions,
+        })
     }
 
     /// The bound address (use this when the config asked for port 0).
@@ -1085,12 +1050,9 @@ impl Server {
         if self.shared.stopping.swap(true, Ordering::SeqCst) {
             return;
         }
-        // Wake the front door so it observes the stop flag: the reactor via
-        // its waker pipe, the blocking accept loop via a throwaway connect
-        // (which also harmlessly tickles the reactor's listener).
-        #[cfg(target_os = "linux")]
+        // Wake the reactor through its waker pipe so it observes the stop
+        // flag.
         self.completions.wake();
-        let _ = TcpStream::connect(self.addr);
         if let Some(handle) = self.front_thread.take() {
             let _ = handle.join();
         }
@@ -1111,92 +1073,6 @@ impl Drop for Server {
     fn drop(&mut self) {
         self.shutdown();
     }
-}
-
-// ---------------------------------------------------------------------------
-// Portable blocking front door: thread-per-connection over the same
-// route/enqueue path as the reactor. The default on non-Linux targets; kept
-// compiling on Linux (where only the reactor runs it) so the fallback can't
-// rot unbuilt.
-// ---------------------------------------------------------------------------
-
-#[cfg_attr(target_os = "linux", allow(dead_code))]
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    loop {
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(_) => continue,
-        };
-        if shared.stopping.load(Ordering::SeqCst) {
-            return;
-        }
-        let shared = Arc::clone(shared);
-        let _ = thread::Builder::new()
-            .name("remix-serve-conn".into())
-            .spawn(move || connection_loop(stream, &shared));
-    }
-}
-
-#[cfg_attr(target_os = "linux", allow(dead_code))]
-fn connection_loop(stream: TcpStream, shared: &Shared) {
-    let _ = stream.set_nodelay(true);
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut reader = io::BufReader::new(stream);
-    loop {
-        match read_request(&mut reader) {
-            Ok(Some(request)) => {
-                let close = request.close;
-                let (status, body) = match route(&request, shared) {
-                    Routed::Immediate(status, body) => (status, body),
-                    Routed::Predict(prepared) => blocking_predict(shared, prepared),
-                    // The connection thread is already off the accept path,
-                    // so the blocking front door swaps inline.
-                    Routed::Swap(prepared) => perform_swap(shared, &prepared),
-                };
-                if write_response(&mut writer, status, &body, close).is_err() || close {
-                    return;
-                }
-            }
-            Ok(None) => return,
-            Err(e) => {
-                let status = error_status(&e);
-                let _ = write_response(
-                    &mut writer,
-                    status,
-                    &protocol::error_body(&e.to_string()),
-                    true,
-                );
-                return;
-            }
-        }
-    }
-}
-
-/// Enqueues a prepared `/predict` and blocks the connection thread on a
-/// reply slot until its engine shard answers.
-#[cfg_attr(target_os = "linux", allow(dead_code))]
-fn blocking_predict(shared: &Shared, prepared: PreparedPredict) -> (u16, String) {
-    let span = remix_trace::span("serve_request");
-    let started = prepared.started;
-    let slot = ReplySlot::default();
-    if let Err((status, body)) = enqueue(shared, prepared, Responder::Slot(slot.clone())) {
-        span.finish();
-        return (status, body);
-    }
-    let reply = slot.wait();
-    let latency = started.elapsed();
-    span.finish();
-    if let Some(status) = reply.raw_status {
-        return (status, reply.fragment.to_string());
-    }
-    remix_trace::record_duration(verdict_kind(&reply), latency);
-    (
-        200,
-        protocol::envelope(&reply.fragment, false, latency.as_micros() as u64),
-    )
 }
 
 #[cfg(test)]

@@ -634,6 +634,100 @@ fn out_of_range_pixels_are_rejected_with_400() {
 }
 
 #[test]
+fn deadline_beyond_one_hour_is_rejected_with_400() {
+    let (ensemble, images) = setup();
+    let server = Server::start(ensemble, remix(), ServeConfig::default()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let image = images[0].data();
+    // A deadline that large would mean "never degrade".
+    let reply = client.predict(image, Some(3_600_001), true).unwrap();
+    assert_eq!(reply.status, 400, "{}", reply.body);
+    assert!(reply.body.contains("deadline_ms"), "{}", reply.body);
+    assert_eq!(server.stats().requests, 0);
+    // One hour exactly is still accepted.
+    let reply = client.predict(image, Some(3_600_000), true).unwrap();
+    assert_eq!(reply.status, 200, "{}", reply.body);
+}
+
+/// Reads one unsigned integer field of a JSON object.
+fn uint(pairs: &[(String, serde::Value)], name: &str) -> u64 {
+    match pairs.iter().find(|(k, _)| k == name) {
+        Some((_, serde::Value::UInt(n))) => *n,
+        other => panic!("missing numeric field {name}: {other:?}"),
+    }
+}
+
+#[test]
+fn drift_alerts_are_counted_once_and_leave_verdicts_unchanged() {
+    // A reference window of unanimous verdicts, then a run of
+    // disagreements: the disagreement-rate test trips within a few.
+    let (ensemble, images) = setup();
+    let (mut local, _) = setup();
+    let (unanimous, split) = split_inputs(&mut local, &images);
+    let drift = remix_serve::DriftConfig {
+        reference_window: 16,
+        min_feature_support: 4,
+        ..Default::default()
+    };
+    let config = ServeConfig {
+        shards: 1,
+        ..ServeConfig::default()
+    };
+    let watched = Server::start(
+        ensemble,
+        remix(),
+        ServeConfig {
+            drift: Some(drift),
+            ..config.clone()
+        },
+    )
+    .unwrap();
+    let plain = Server::start(local, remix(), config).unwrap();
+    let mut watched_client = Client::connect(watched.addr()).unwrap();
+    let mut plain_client = Client::connect(plain.addr()).unwrap();
+    let stream = std::iter::repeat_n(&unanimous, 16).chain(std::iter::repeat_n(&split, 24));
+    for image in stream {
+        let got = watched_client
+            .predict(image.data(), Some(10_000), true)
+            .unwrap();
+        let want = plain_client
+            .predict(image.data(), Some(10_000), true)
+            .unwrap();
+        assert_eq!((got.status, want.status), (200, 200));
+        assert_eq!(
+            got.verdict_json, want.verdict_json,
+            "drift detection must not change a verdict byte"
+        );
+    }
+
+    // The engine folds a verdict after replying, so wait for the alert.
+    let mut alerts = 0;
+    for _ in 0..500 {
+        let drift = watched_client.drift().unwrap();
+        let models = drift
+            .as_object()
+            .unwrap()
+            .iter()
+            .find(|(k, _)| k == "models");
+        let Some((_, serde::Value::Array(models))) = models else {
+            panic!("/drift has no models array: {drift:?}");
+        };
+        alerts = models
+            .iter()
+            .map(|m| uint(m.as_object().unwrap(), "alerts"))
+            .sum::<u64>();
+        if alerts > 0 {
+            break;
+        }
+        thread::sleep(Duration::from_millis(10));
+    }
+    assert!(alerts >= 1, "the shifted stream must trip the detector");
+    let stats = watched_client.stats().unwrap();
+    assert_eq!(uint(stats.as_object().unwrap(), "drift_alerts"), alerts);
+    assert_eq!(plain.stats().drift_alerts, 0);
+}
+
+#[test]
 fn health_stats_and_error_paths() {
     let (ensemble, images) = setup();
     let server = Server::start(ensemble, remix(), ServeConfig::default()).unwrap();

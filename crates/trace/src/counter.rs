@@ -41,28 +41,11 @@ pub enum Counter {
     TrainSamples,
     /// Span records discarded because the registry hit its size cap.
     SpansDropped,
-    /// Prediction requests accepted by the serving layer.
-    ServeRequests,
-    /// Requests answered straight from the verdict cache.
-    ServeCacheHits,
-    /// Requests that missed the verdict cache and ran inference.
-    ServeCacheMisses,
-    /// Micro-batches executed by the serving engine.
-    ServeBatches,
-    /// Requests whose disagreement was resolved by the degraded
-    /// majority-vote fallback after the deadline expired.
-    ServeDegraded,
-    /// Requests rejected (429) because the inference queue was full.
-    ServeShed,
-    /// Verdicts folded into the streaming drift detector.
-    ServeDriftVerdicts,
-    /// Drift alerts raised by the streaming detector (across all shards).
-    ServeDriftAlerts,
 }
 
 impl Counter {
     /// Every counter, in declaration order.
-    pub const ALL: [Counter; 22] = [
+    pub const ALL: [Counter; 14] = [
         Counter::GemmCalls,
         Counter::GemmMacs,
         Counter::GemmPackBytes,
@@ -77,14 +60,6 @@ impl Counter {
         Counter::TrainBatches,
         Counter::TrainSamples,
         Counter::SpansDropped,
-        Counter::ServeRequests,
-        Counter::ServeCacheHits,
-        Counter::ServeCacheMisses,
-        Counter::ServeBatches,
-        Counter::ServeDegraded,
-        Counter::ServeShed,
-        Counter::ServeDriftVerdicts,
-        Counter::ServeDriftAlerts,
     ];
 
     /// Stable snake_case name used in exported records.
@@ -104,14 +79,6 @@ impl Counter {
             Counter::TrainBatches => "train_batches",
             Counter::TrainSamples => "train_samples",
             Counter::SpansDropped => "spans_dropped",
-            Counter::ServeRequests => "serve_requests",
-            Counter::ServeCacheHits => "serve_cache_hits",
-            Counter::ServeCacheMisses => "serve_cache_misses",
-            Counter::ServeBatches => "serve_batches",
-            Counter::ServeDegraded => "serve_degraded",
-            Counter::ServeShed => "serve_shed",
-            Counter::ServeDriftVerdicts => "serve_drift_verdicts",
-            Counter::ServeDriftAlerts => "serve_drift_alerts",
         }
     }
 }
